@@ -182,11 +182,14 @@ class Store:
     """Maps locations to memo tables; also registers boxed values.
 
     A store is confined to one evaluation. Independent evaluations get
-    independent stores and may run concurrently.
+    independent stores and may run concurrently. `code` holds the
+    evaluator's compiled function bodies by location, so they live
+    exactly as long as the tables they serve.
     """
 
     tables: "dict[int, MemoTable]" = field(default_factory=dict)
     boxes: "dict[int, Term]" = field(default_factory=dict)
+    code: "dict[int, tuple]" = field(default_factory=dict)
     next_loc: int = 0
     next_tag: int = 0
 

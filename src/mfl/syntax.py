@@ -828,35 +828,3 @@ def erase(node: Node) -> Node:
         return MCase(s, node.left_name, node.left_ann, la,
                      node.right_name, node.right_ann, ra)
     raise TypeError(f"not a term or expression: {node!r}")
-
-
-_VALUE_LEAVES = (UnitLit, IntLit, MFunVal, BoxVal)
-
-
-def is_value(t: Term) -> bool:
-    """True for canonical run-time values of the memoizing semantics."""
-    tp = type(t)
-    if tp in (UnitLit, IntLit, MFunVal, BoxVal):
-        return True
-    if tp is Bang or tp is Roll:
-        return is_value(t.body)
-    if tp is Pair:
-        return is_value(t.left) and is_value(t.right)
-    if tp is Inl or tp is Inr:
-        return is_value(t.body)
-    return False
-
-
-def is_pure_value(t: Term) -> bool:
-    """True for values of the non-memoizing semantics, where a function
-    evaluates to itself and carries no location."""
-    tp = type(t)
-    if tp in (UnitLit, IntLit, MFun, BoxVal):
-        return True
-    if tp is Bang or tp is Roll:
-        return is_pure_value(t.body)
-    if tp is Pair:
-        return is_pure_value(t.left) and is_pure_value(t.right)
-    if tp is Inl or tp is Inr:
-        return is_pure_value(t.body)
-    return False

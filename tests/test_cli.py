@@ -159,3 +159,11 @@ def test_console_script_smoke(corpus_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "box" in proc.stdout
+
+
+def test_python_dash_m_mfl(corpus_file):
+    proc = subprocess.run([sys.executable, "-m", "mfl", "run",
+                           corpus_file("fib"), "--seed", "0"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "55"

@@ -222,14 +222,18 @@ def test_checked_return_rejects_unbound_resource():
         eval_expr(store, loc, [], Return(Res("r")), fresh())
 
 
-def test_checked_return_allows_bound_resource():
-    # a resource bound by let* in the same body is no longer free once
-    # its value is known
+def test_checked_return_rejects_bound_resource():
+    # the paper's rule: no resource may be free in a return body, even
+    # one that a let* of the same body has bound (the typechecker rejects
+    # such a body; checked mode rejects it at run time too)
     store = Store()
     loc = store.alloc_table()
     body = LetPair("a", None, "b", None, Pair(IntLit(1), IntLit(2)),
                    Return(Res("a")))
-    v, _ = eval_expr(store, loc, [], body, fresh())
+    with pytest.raises(InternalInvariantError):
+        eval_expr(store, loc, [], body, fresh())
+    # unchecked, the body still runs and returns the bound value
+    v, _ = eval_expr(store, loc, [], body, fresh(checked=False))
     assert term_eq(v, IntLit(1))
 
 
