@@ -27,7 +27,9 @@ from .syntax import (
     Term, TermCase, TermSplit, Type, UnitLit, Unbox, Unroll, Var, erase,
     node_fields, subst, type_eq,
 )
-from .typecheck import check_program
+# Not called here: `diff_check` takes a program its caller has checked.
+# perfbench/tracer.py wraps `eval_pure.check_program`, so the name stays.
+from .typecheck import check_program  # noqa: F401
 
 
 @dataclass(slots=True)
@@ -260,11 +262,11 @@ class Verdict:
 def diff_check(program: Program, *, checked: bool = True,
                fault: "str | None" = None,
                depth_limit: int = 10 ** 6) -> Verdict:
-    """Run the memoizing and the pure semantics on a typechecked program
-    and compare outcomes. A mismatch is a verdict, not an error; both
-    runs failing with the same fault (e.g. div by zero) agrees too.
+    """Run the memoizing and the pure semantics on a program that has
+    already passed `check_program`, and compare outcomes. A mismatch is a
+    verdict, not an error; both runs failing with the same fault (e.g. div
+    by zero) agrees too.
     """
-    check_program(program)
     cfg = EvalConfig(checked=checked, fault=fault, depth_limit=depth_limit)
     memo_err = pure_err = None
     memo = pure = None

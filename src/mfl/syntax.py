@@ -710,44 +710,6 @@ def free_resources(node: Node) -> "set[str]":
     raise TypeError(f"not a term or expression: {node!r}")
 
 
-def free_variables(node: Node) -> "set[str]":
-    """The set of variable names occurring free in a term or expression."""
-    t = type(node)
-    if t is Var:
-        return {node.name}
-    if t in (Res, UnitLit, IntLit, BoxVal):
-        return set()
-    if t is PrimOp:
-        out: "set[str]" = set()
-        for a in node.args:
-            out |= free_variables(a)
-        return out
-    if t in (Bang, Roll, Unroll, Box, Unbox, KeyOf, Return):
-        return free_variables(node.body)
-    if t is Pair:
-        return free_variables(node.left) | free_variables(node.right)
-    if t is Apply:
-        return free_variables(node.fn) | free_variables(node.arg)
-    if t in (MFun, MFunVal):
-        return free_variables(node.body) - {node.fname}
-    if t is Inl or t is Inr:
-        return free_variables(node.body)
-    if t is TermCase:
-        return (free_variables(node.scrut) | free_variables(node.left_arm)
-                | free_variables(node.right_arm))
-    if t is TermSplit:
-        return free_variables(node.scrut) | free_variables(node.body)
-    if t is LetBang:
-        return (free_variables(node.scrut)
-                | (free_variables(node.body) - {node.name}))
-    if t is LetPair:
-        return free_variables(node.scrut) | free_variables(node.body)
-    if t is MCase:
-        return (free_variables(node.scrut) | free_variables(node.left_arm)
-                | free_variables(node.right_arm))
-    raise TypeError(f"not a term or expression: {node!r}")
-
-
 def erase(node: Node) -> Node:
     """Strip memo-table locations: every `MFunVal` becomes the `MFun` it
     came from. Idempotent, and commutes with substitution. Box tags are

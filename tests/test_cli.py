@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import mfl.cli as cli
+import mfl.typecheck as typecheck
 from mfl.corpus import corpus_source
 from mfl.eval_pure import Verdict
 
@@ -39,6 +40,32 @@ def test_check_reports_syntax_error_position(tmp_path, capsys):
     assert cli.main(["check", str(bad)]) == 1
     assert re.search(rf"{re.escape(str(bad))}:\d+:\d+: syntax:",
                      capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("src, where", [
+    ("main \u00b2\n", "1:6"),
+    ("val \u00e9t\u00e9 = 1 main \u00e9t\u00e9\n", "1:5"),
+], ids=["superscript-two", "e-acute"])
+def test_non_ascii_character_is_a_syntax_error(tmp_path, capsys, src, where):
+    bad = tmp_path / "bad.mfl"
+    bad.write_text(src, encoding="utf-8")
+    assert cli.main(["run", str(bad), "--seed", "0"]) == 1
+    assert capsys.readouterr().err.startswith(f"{bad}:{where}: syntax: unexpected character")
+
+
+@pytest.mark.parametrize("levels", [150, 10_000])
+def test_deep_nesting_runs_or_fails_cleanly(tmp_path, levels):
+    # a fresh process, so the parser runs under the default recursion limit
+    src = tmp_path / "deep.mfl"
+    src.write_text("main " + "(" * levels + "1" + ")" * levels + "\n")
+    proc = subprocess.run([sys.executable, "-m", "mfl", "run", str(src), "--seed", "0"],
+                          capture_output=True, text=True)
+    if levels == 150:
+        assert (proc.returncode, proc.stdout.strip()) == (0, "1"), proc.stderr
+    else:
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"{src}:1:") and "nesting too deep" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_run_prints_value_and_stats(corpus_file, tmp_path, capsys):
@@ -87,6 +114,36 @@ def test_diff_mismatch_exit_code(corpus_file, capsys, monkeypatch):
                         lambda program: Verdict(False, "forced for the test"))
     assert cli.main(["diff", corpus_file("fib")]) == 2
     assert "mismatch" in capsys.readouterr().out
+
+
+def _count_check_program(monkeypatch) -> list:
+    """Route `check_program` in every module of mfl that imported it
+    through a wrapper; the returned list grows by one per call."""
+    calls, real = [], typecheck.check_program
+
+    def counted(program):
+        calls.append(program)
+        return real(program)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mfl" and getattr(module, "check_program", None) is real:
+            monkeypatch.setattr(module, "check_program", counted)
+    return calls
+
+
+def test_diff_typechecks_once(corpus_file, capsys, monkeypatch):
+    calls = _count_check_program(monkeypatch)
+    assert cli.main(["diff", corpus_file("fib")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_fuzz_typechecks_each_program_once(tmp_path, capsys, monkeypatch):
+    calls = _count_check_program(monkeypatch)
+    assert cli.main(["fuzz", "--count", "5", "--seed", "5",
+                     "--out", str(tmp_path / "failures")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 5  # gen_program checks what it returns
 
 
 def test_fuzz_clean(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from mfl.corpus import CORPUS_NAMES, corpus_source
 from mfl.errors import DuplicateDeclError, ParseError
 from mfl.gen import gen_program
-from mfl.parser import parse, parse_expr, parse_term
+from mfl.parser import MAX_NESTING, parse, parse_expr, parse_term
 from mfl.pretty import print_program
 from mfl.syntax import (
     Apply, Bang, IntLit, LetBang, MCase, MFun, Pair, PrimOp, Res, TermCase,
@@ -101,6 +101,46 @@ def test_unterminated_comment_position():
     with pytest.raises(ParseError) as exc:
         parse("main 1 (* oops")
     assert exc.value.col == 8
+
+
+@pytest.mark.parametrize("src, col, char", [
+    ("main \u00b2", 6, "\u00b2"),            # a digit to str.isdigit
+    ("val \u00e9t\u00e9 = 1 main \u00e9t\u00e9", 5, "\u00e9"),  # a letter to str.isalpha
+], ids=["superscript-two", "e-acute"])
+def test_non_ascii_characters_are_rejected(src, col, char):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert exc.value.message == f"unexpected character {char!r}"
+
+
+def test_nesting_up_to_the_limit_parses():
+    depth = MAX_NESTING - 1
+    p = parse("main " + "(" * depth + "1" + ")" * depth)
+    assert term_eq(p.main, IntLit(1))
+
+
+def test_nesting_beyond_the_limit_is_a_parse_error():
+    # reported at the token that opens level MAX_NESTING + 1; the whole
+    # main term is level 1
+    with pytest.raises(ParseError) as exc:
+        parse("main " + "(" * 10_000 + "1" + ")" * 10_000)
+    assert exc.value.message == "nesting too deep"
+    assert (exc.value.line, exc.value.col) == (1, len("main ") + MAX_NESTING + 1)
+
+
+@pytest.mark.parametrize("src", [
+    "main " + "!(" * 10_000 + "1" + ")" * 10_000,
+    "main " + "1 < 1 + (" * 10_000 + "1" + ")" * 10_000,
+    "main " + "if 1 then 2 else " * 10_000 + "3",
+    "main " + "case 1 of inl a => " * 10_000 + "1" + " | inr b => 2 end" * 10_000,
+    "main mfun f (a : " + "(int * " * 10_000 + "int" + ")" * 10_000 + ") : int is return 1 end",
+    "main mfun f (a : int) : int is " + "let !x = a in " * 10_000 + "return 1"
+    + " end" * 10_001,
+])
+def test_every_kind_of_nesting_is_capped(src):
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse(src)
 
 
 def test_unary_keywords_nest_without_parens():

@@ -6,7 +6,7 @@ from mfl.parser import parse_expr, parse_term
 from mfl.syntax import (
     Bang, INT, IntLit, LetPair, MFun, MFunVal, Pair, Res, Return, TBang,
     TBox, TProd, TRec, TSum, TUnit, TVar, UNIT, UnitLit, Var, erase,
-    free_names, free_resources, free_variables, subst, term_eq, type_eq,
+    free_names, free_resources, subst, term_eq, type_eq,
 )
 
 
@@ -30,7 +30,6 @@ def test_free_resources_arm_binders():
     assert free_resources(e) == {"r"}
     t = parse_term("split r as (a, b) in a end", resources=("r",))
     assert free_resources(t) == {"r"}
-    assert free_variables(t) == set()
 
 
 def test_erase_no_locations():
