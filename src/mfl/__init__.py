@@ -5,7 +5,7 @@ from .parser import parse, parse_term, parse_expr
 from .typecheck import check_program, check_term, check_expr
 from .eval_memo import EvalConfig, eval_term, eval_expr, run_program
 from .eval_pure import diff_check, eval_pure_term, run_program_pure
-from .memostore import Store, MemoTable, mt_lookup, mt_insert, index_of, encode_event
+from .memostore import Store, MemoTable, mt_lookup, mt_insert, index_of
 from .stats import EvalStats
 
 __all__ = [
@@ -13,6 +13,5 @@ __all__ = [
     "type_eq", "parse", "parse_term", "parse_expr", "check_program",
     "check_term", "check_expr", "EvalConfig", "eval_term", "eval_expr",
     "run_program", "diff_check", "eval_pure_term", "run_program_pure",
-    "Store", "MemoTable", "mt_lookup", "mt_insert", "index_of",
-    "encode_event", "EvalStats",
+    "Store", "MemoTable", "mt_lookup", "mt_insert", "index_of", "EvalStats",
 ]

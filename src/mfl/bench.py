@@ -32,13 +32,12 @@ from .typecheck import check_program
 
 
 def overhead_ratio(program: Program, inputs: "list[int] | None" = None,
-                   seed: int = 0, fn_name: "str | None" = None) -> "list[float]":
+                   fn_name: "str | None" = None) -> "list[float]":
     """Cold-memoized work over pure steps, one ratio per input.
 
     With `inputs`, the program's main is replaced by `f (!n)` for each n,
     where f is `fn_name` or the last declaration. Without `inputs`, the
-    program runs as written and a single ratio is returned. `seed` is
-    accepted for interface uniformity; the measurement is deterministic.
+    program runs as written and a single ratio is returned.
     """
     check_program(program)
     if inputs is None:

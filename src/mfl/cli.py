@@ -1,7 +1,10 @@
 """Command-line entry point: check / run / diff / fuzz / bench / trace.
 
-Exit codes: 0 success, 1 parse/type/runtime error in the program, 2
-differential mismatch, 3 internal invariant breach, 64 usage error.
+Exit codes: 0 success, 1 parse/type/runtime error in the program
+(running out of stack or memory included), 2 differential mismatch, 3
+internal invariant breach, 64 usage error. Each command runs on the
+deep-stack worker, since checking, evaluating and printing all recurse
+with the program.
 All randomness (fuzz cases, benchmark permutations) flows from one
 --seed; without it, MFL_SEED is consulted, then an entropy-derived seed
 is drawn and printed so a run can be reproduced.
@@ -53,10 +56,9 @@ def _resolve_seed(args) -> int:
 
 
 def _load_program(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    program = parse(text)
-    check_program(program)
-    return program
+    """The parsed program in `path` and its type."""
+    program = parse(Path(path).read_text(encoding="utf-8"))
+    return program, check_program(program)
 
 
 def _stats_json(stats, seed: int) -> str:
@@ -65,21 +67,20 @@ def _stats_json(stats, seed: int) -> str:
 
 
 def cmd_check(args) -> int:
-    program = _load_program(args.file)
-    print(format_type(check_program(program)))
+    print(format_type(_load_program(args.file)[1]))
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    program = _load_program(args.file)
+    program, _ = _load_program(args.file)
     seed = _resolve_seed(args)
     if args.semantics == "pure":
-        result = call_with_deep_stack(run_program_pure, program)
+        result = run_program_pure(program)
         print(print_value(result.value, result.state.boxes))
         stats = result.stats
     else:
         cfg = EvalConfig(mode="cold" if args.cold else "normal", checked=args.checked)
-        result = call_with_deep_stack(run_program, program, cfg)
+        result = run_program(program, cfg)
         print(print_value(erase(result.value), result.store.boxes))
         stats = cfg.stats
     if args.stats:
@@ -88,8 +89,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    program = _load_program(args.file)
-    verdict = call_with_deep_stack(diff_check, program)
+    program, _ = _load_program(args.file)
+    verdict = diff_check(program)
     if verdict.ok:
         print(f"ok: {verdict.detail}")
         return EXIT_OK
@@ -106,7 +107,7 @@ def cmd_fuzz(args) -> int:
     failures = 0
     for i in range(args.count):
         program = gen_program(f"{seed}:{i}", GenLimits())
-        verdict = call_with_deep_stack(diff_check, program)
+        verdict = diff_check(program)
         if not verdict.ok:
             failures += 1
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -131,9 +132,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    program = _load_program(args.file)
+    program, _ = _load_program(args.file)
     cfg = EvalConfig(checked=args.checked)
-    result = call_with_deep_stack(run_program, program, cfg)
+    result = run_program(program, cfg)
     tables = []
     for loc in sorted(result.store.tables):
         entries = [
@@ -194,11 +195,20 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _run_command(args) -> int:
+    try:
+        return args.fn(args)
+    except RecursionError as exc:
+        raise MflRuntimeError("recursion too deep") from exc
+    except MemoryError as exc:
+        raise MflRuntimeError("out of memory") from exc
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return call_with_deep_stack(_run_command, args)
     except (ParseError, MflTypeError) as exc:
         target = getattr(args, "file", "<input>")
         print(f"{target}:{exc}", file=sys.stderr)

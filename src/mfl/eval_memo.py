@@ -1,25 +1,39 @@
-"""The memoizing big-step evaluator, compiled to Python closures.
+"""The one evaluator, compiled to Python closures, and its policies.
 
-Terms evaluate against a store; evaluating a function term allocates a
-fresh, empty memo table and stamps its location on the resulting value.
-Applying a function evaluates its body as an *expression* relative to
-the callee's own table, starting from the empty branch. Expression
-evaluation explores the argument (`let !`, `let*`, `mcase`), appending
-one event per exploration step, until a `return` completes the body:
-the accumulated branch keys the memo table, either yielding the stored
-result or binding the freshly computed one.
+Under the memo policy terms evaluate against a store; evaluating a
+function term allocates a fresh, empty memo table and stamps its
+location on the resulting value. Applying a function evaluates its
+body as an *expression* relative to the callee's own table, starting
+from the empty branch. Expression evaluation explores the argument
+(`let !`, `let*`, `mcase`), appending one event per exploration step,
+until a `return` completes the body: the accumulated branch keys the
+memo table, either yielding the stored result or binding the freshly
+computed one. `cold` pays for every lookup and insert but never reuses.
+
+The pure policy is the paper's reference semantics: the memo semantics
+with the store deleted. A function evaluates to itself (its closed
+`MFun`, no location), a `return` always evaluates its body, and no
+branch is recorded; boxes still allocate tags from the store, since
+`keyof` makes them observable. The policy is a flag of `EvalConfig`,
+read at run time in the few closures where the semantics differ
+(`return`, `let !`, `mcase`, `box`, `mfun`), so one compiled program
+runs under either semantics (Reynolds 1972: one interpreter
+parameterised by its semantics).
 
 Nothing is interpreted node by node. Each `Term` and `Expr` node is
 compiled once into a Python closure with its children's closures and
 static fields (names, operator, types) bound in advance (in the style
 of Feeley & Lapalme 1987), so a node's type is dispatched at compile
-time rather than at every visit. A function body is compiled when the
-function value is made, once per memo-table allocation, and the code is
-kept in `Store.code` under the table's location; an application checks
-it against the function value's body by identity (a value built outside
-this store's evaluation is compiled on first use). The code lives as
-long as the store. Top-level terms (declarations, main, the arguments
-of `eval_term` and `eval_expr`) are compiled when they are evaluated.
+time rather than at every visit. `compile_program` compiles the
+declarations and main as one unit. An `mfun` body is compiled once per
+static site, when the site first allocates a function value, and the
+code is kept in the site's closure; the names the function captures
+become slots of its frame, filled from the enclosing frame whenever a
+value is made. `Store.code` maps each function value (its location, or
+under the pure policy its identity) to its code and captured values;
+an application checks the entry against the value's body by identity
+(a value built outside this store's evaluation is compiled on first
+use).
 
 Bindings live in a frame, one list per activation: the compiler gives
 every binder of a body its own slot and resolves each name occurrence
@@ -27,8 +41,8 @@ to the slot of its innermost binder, in the style of the CEK machine
 (Felleisen & Friedman 1986) with the environment flattened. Values stay
 closed terms all the same, because the one place a value can capture
 its surroundings, an `mfun` body, is closed by substitution when the
-function value is made. Erased results therefore compare directly
-against the pure reference semantics.
+function value is made. Erased memoized results therefore compare
+directly against pure ones.
 
 The cost model is that of the substitution rules and does not depend
 on the compilation: every node evaluated is one step, and a name
@@ -42,6 +56,7 @@ globals, so they can be intercepted here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .errors import (DepthExceeded, DivisionByZero, InternalInvariantError,
                      PrefixViolation, Stuck)
@@ -60,26 +75,33 @@ _SUM_UNIT_TRUE = Inr(UnitLit(), UNIT, UNIT)
 
 @dataclass(slots=True)
 class EvalConfig:
-    """Evaluation mode and instrumentation.
+    """Evaluation policy and instrumentation.
 
     `cold` mode pays every memo-table cost but never returns a stored
-    result, modelling the worst case where nothing is reusable.
-    `checked` turns on the run-time invariant assertions (duplicate
-    branch detection and resource-freeness of return bodies). `fault`
+    result, modelling the worst case where nothing is reusable. `pure`
+    mode is the reference semantics: no tables, no branches. `checked`
+    turns on the run-time invariant assertions (duplicate branch
+    detection and resource-freeness of return bodies). `fault`
     optionally mutilates the insert path for the differential harness:
     "skip_insert" drops inserts, "wrong_branch" inserts at a perturbed
-    key.
+    key. `reuse` and `pure` are `mode` as the flags the evaluator reads.
     """
 
-    mode: str = "normal"  # "normal" | "cold"
+    mode: str = "normal"  # "normal" | "cold" | "pure"
     checked: bool = False
     depth_limit: int = 10 ** 6
     trace: bool = False
     fault: "str | None" = None
     stats: EvalStats = field(default_factory=EvalStats)
     depth: int = 0
+    reuse: bool = field(init=False)
+    pure: bool = field(init=False)
 
     def __post_init__(self):
+        if self.mode not in ("normal", "cold", "pure"):
+            raise ValueError(f"unknown evaluation mode {self.mode!r}")
+        self.reuse = self.mode == "normal"
+        self.pure = self.mode == "pure"
         if self.trace and self.stats.events is None:
             self.stats.events = []
 
@@ -135,6 +157,7 @@ def _check_loc(store: Store, loc: int) -> None:
 
 
 _LEAVES = frozenset((IntLit, UnitLit, BoxVal))
+_ATOMS = _LEAVES | {MFunVal, MFun}  # values of one node
 
 
 def _lookup_steps(store: Store, v: Term, cfg: EvalConfig) -> int:
@@ -166,22 +189,23 @@ def _lookup_steps(store: Store, v: Term, cfg: EvalConfig) -> int:
 _VALUE_NODES = frozenset((IntLit, UnitLit, BoxVal, MFunVal, Bang, Inl, Inr, Roll, Pair))
 
 
-def _value_size(t: Term, locs: list) -> "int | None":
-    """The node count of `t` if it is a closed value, appending the
-    locations of its function values to `locs` in evaluation order;
-    None if evaluating `t` does more than return it."""
+def _value_size(t: Term, funs: list, before: int = 0) -> "int | None":
+    """The node count of `t` if it is a closed value, appending to
+    `funs` a (location, steps up to and including it) pair for each of
+    its function values, in evaluation order; `before` is the steps
+    taken before `t`. None if evaluating `t` does more than return it."""
     tp = type(t)
     if tp in _LEAVES:
         return 1
     if tp is MFunVal:
-        locs.append(t.loc)
+        funs.append((t.loc, before + 1))
         return 1
     if tp is Bang or tp is Inl or tp is Inr or tp is Roll:
-        n = _value_size(t.body, locs)
+        n = _value_size(t.body, funs, before + 1)
         return None if n is None else n + 1
     if tp is Pair:
-        left = _value_size(t.left, locs)
-        right = None if left is None else _value_size(t.right, locs)
+        left = _value_size(t.left, funs, before + 1)
+        right = None if left is None else _value_size(t.right, funs, before + 1 + left)
         return None if right is None else left + right + 1
     return None
 
@@ -191,18 +215,20 @@ def _value_size(t: Term, locs: list) -> "int | None":
 #
 # A compiled term is `ev(fr, cfg, store) -> value`; a compiled
 # expression is `ex(fr, cfg, store, branch) -> value`, where `fr` is the
-# activation's frame. `vs` and `rs` map the variables and resources in
-# scope to their frame slots; `unit` counts the slots of the unit being
-# compiled and carries its memo-table location.
+# activation's frame. Slot 0 of a function body's frame holds the
+# function value, whose location names the memo table. `vs` and `rs` map
+# the variables and resources in scope to their frame slots; `unit`
+# counts the slots of the unit being compiled and knows which of them
+# hold values the function captured.
 # --------------------------------------------------------------------------
 
 
 class _Unit:
-    __slots__ = ("size", "loc")
+    __slots__ = ("size", "captured")
 
-    def __init__(self, size: int, loc: "int | None" = None):
+    def __init__(self, size: int, captured: "range" = range(0)):
         self.size = size
-        self.loc = loc
+        self.captured = captured
 
     def slot(self) -> int:
         self.size += 1
@@ -212,10 +238,10 @@ class _Unit:
 def _compile_term(t: Term, vs: dict, rs: dict, unit: _Unit):
     tp = type(t)
     if tp in _VALUE_NODES:
-        locs: list = []
-        n = _value_size(t, locs)
+        funs: list = []
+        n = _value_size(t, funs)
         if n is not None:
-            return _compile_value(t, n, tuple(locs))
+            return _compile_value(t, n, funs)
     if tp is Var or tp is Res:
         return _compile_name(t.name, (vs if tp is Var else rs).get(t.name),
                              "variable" if tp is Var else "resource")
@@ -228,10 +254,21 @@ def _compile_term(t: Term, vs: dict, rs: dict, unit: _Unit):
     return comp(t, vs, rs, unit)
 
 
-def _compile_value(t: Term, n: int, locs: tuple):
+def _compile_value(t: Term, n: int, funs: list):
+    if not funs:
+        def ev(fr, cfg, store):
+            cfg.stats.steps += n
+            return t
+        return ev
+    locs = tuple(loc for loc, _ in funs)
+    stuck_after = funs[0][1]
+
     def ev(fr, cfg, store):
+        if cfg.pure:
+            cfg.stats.steps += stuck_after
+            raise Stuck("location-subscripted function in pure evaluation")
         cfg.stats.steps += n
-        if locs and cfg.checked:
+        if cfg.checked:
             for loc in locs:
                 _check_loc(store, loc)
         return t
@@ -245,21 +282,18 @@ def _compile_name(name: str, slot: "int | None", kind: str):
             raise Stuck(f"free {kind} '{name}' at run time")
         return ev
 
-    # the common values, a leaf or a banged leaf, are charged inline
+    # the common values, one node or a banged leaf, are charged inline
     def ev(fr, cfg, store):
         v = fr[slot]
         tp = type(v)
-        stats = cfg.stats
-        if tp is IntLit or tp is BoxVal or tp is UnitLit:
-            stats.steps += 1
-        elif tp is Bang and type(v.body) in _LEAVES:
-            stats.steps += 2
-        elif tp is MFunVal:
-            stats.steps += 1
-            if cfg.checked:
+        if tp in _ATOMS:
+            cfg.stats.steps += 1
+            if cfg.checked and tp is MFunVal:
                 _check_loc(store, v.loc)
+        elif tp is Bang and type(v.body) in _LEAVES:
+            cfg.stats.steps += 2
         else:
-            stats.steps += _lookup_steps(store, v, cfg)
+            cfg.stats.steps += _lookup_steps(store, v, cfg)
         return v
     return ev
 
@@ -271,16 +305,21 @@ def _term_apply(t: Apply, vs, rs, unit):
     def ev(fr, cfg, store):
         cfg.stats.steps += 1
         fn = fn_c(fr, cfg, store)
-        if type(fn) is not MFunVal:
+        tp = type(fn)
+        if tp is MFunVal:
+            key = fn.loc
+        elif tp is MFun:  # a pure function value
+            key = id(fn)
+        else:
             raise Stuck("application of a non-function value")
         arg = arg_c(fr, cfg, store)
         cfg.depth += 1
         if cfg.depth > cfg.depth_limit:
             raise DepthExceeded(f"application depth exceeded {cfg.depth_limit}")
         try:
-            code = store.code.get(fn.loc)
+            code = store.code.get(key)
             if code is None or code[0] is not fn.body:
-                code = _compile_fun(store, fn)
+                code = _compile_fun(store, key, fn)
             return code[2]([fn, arg, *code[1]], cfg, store, [])
         finally:
             cfg.depth -= 1
@@ -349,17 +388,32 @@ def _term_wrap(t, vs, rs, unit):
 
 def _term_mfun(t: MFun, vs, rs, unit):
     free = free_names(t)
-    vslots = tuple((name, slot) for name, slot in vs.items() if name in free)
-    rslots = tuple((name, slot) for name, slot in rs.items() if name in free)
+    vnames = tuple(name for name in vs if name in free)
+    rnames = tuple(name for name in rs if name in free)
+    slots = tuple(vs[name] for name in vnames) + tuple(rs[name] for name in rnames)
+    nv = len(vnames)
+    site = None  # (body code, frame padding), compiled on first allocation
 
     def ev(fr, cfg, store):
+        nonlocal site
         cfg.stats.steps += 1
-        # close the body over the environment, once per allocation
-        closed = subst(t, {name: fr[slot] for name, slot in vslots},
-                       {name: fr[slot] for name, slot in rslots})
+        if site is None:
+            site = _compile_body(t, vnames, rnames)
+        run, pad = site
+        closed = t
+        captured = ()
+        if slots:
+            captured = tuple([fr[slot] for slot in slots])
+            # a value is a closed term: substitute what the body captures
+            closed = subst(t, dict(zip(vnames, captured)),
+                           dict(zip(rnames, captured[nv:])))
+        code = (closed.body, captured + pad, run)
+        if cfg.pure:
+            store.code[id(closed)] = code
+            return closed
         fn = MFunVal(store.alloc_table(), t.fname, t.arg, t.arg_type,
                      t.res_type, closed.body)
-        _compile_fun(store, fn)
+        store.code[fn.loc] = code
         return fn
     return ev
 
@@ -383,7 +437,8 @@ def _term_box(t: Box, vs, rs, unit):
         stats = cfg.stats
         stats.steps += 1
         v = body_c(fr, cfg, store)
-        stats.boxes_allocated += 1
+        if not cfg.pure:
+            stats.boxes_allocated += 1
         return store.alloc_box(v)
     return ev
 
@@ -469,16 +524,23 @@ def _compile_expr(e: Expr, vs: dict, rs: dict, unit: _Unit):
 
 
 def _expr_return(e: Return, vs, rs, unit):
-    loc = unit.loc
     body_c = _compile_term(e.body, vs, rs, unit)
-    # the paper's rule: no resource may be free in a return body
-    free = sorted(free_resources(e.body))
+    # the paper's rule: no resource may be free in a return body (one the
+    # function captured is substituted away in its value's closed body)
+    free = sorted(name for name in free_resources(e.body)
+                  if rs.get(name) not in unit.captured)
 
     def ex(fr, cfg, store, branch):
         stats = cfg.stats
         stats.steps += 1
+        if cfg.pure:
+            # no table: always evaluate, store nothing
+            v = body_c(fr, cfg, store)
+            stats.returns += 1
+            return v
+        loc = fr[0].loc
         found, cached = mt_lookup(store.tables[loc], branch, stats)
-        if found and cfg.mode == "normal":
+        if found and cfg.reuse:
             stats.memo_hits += 1
             stats.returns += 1
             cell = stats.per_table.get(loc)
@@ -510,7 +572,7 @@ def _expr_return(e: Return, vs, rs, unit):
                 mt_insert(table, _perturb(branch), v, stats, on_dup="keep")
             except PrefixViolation:
                 pass  # the mutant only poisons values, not the tree shape
-        elif cfg.mode == "cold":
+        elif not cfg.reuse:  # cold
             mt_insert(table, branch, v, stats, on_dup="keep")
         else:
             mt_insert(table, branch, v, stats,
@@ -521,7 +583,6 @@ def _expr_return(e: Return, vs, rs, unit):
 
 
 def _expr_let_bang(e: LetBang, vs, rs, unit):
-    loc = unit.loc
     scrut_c = _compile_term(e.scrut, vs, rs, unit)
     slot = unit.slot()
     body_c = _compile_expr(e.body, {**vs, e.name: slot}, rs, unit)
@@ -533,15 +594,16 @@ def _expr_let_bang(e: LetBang, vs, rs, unit):
         if type(v) is not Bang:
             raise Stuck("let ! of a non-bang value")
         inner = v.body
-        tp = type(inner)
-        event = (KIND_BANG, inner.value if tp is IntLit else
-                 inner.tag if tp is BoxVal else index_of(inner))
-        branch.append(event)
-        stats.branch_events += 1
-        if len(branch) > stats.max_branch_len:
-            stats.max_branch_len = len(branch)
-        if cfg.trace:
-            stats.events.append(("event", loc, event))
+        if not cfg.pure:
+            tp = type(inner)
+            event = (KIND_BANG, inner.value if tp is IntLit else
+                     inner.tag if tp is BoxVal else index_of(inner))
+            branch.append(event)
+            stats.branch_events += 1
+            if len(branch) > stats.max_branch_len:
+                stats.max_branch_len = len(branch)
+            if cfg.trace:
+                stats.events.append(("event", fr[0].loc, event))
         fr[slot] = inner
         return body_c(fr, cfg, store, branch)
     return ex
@@ -565,7 +627,6 @@ def _expr_let_pair(e: LetPair, vs, rs, unit):
 
 
 def _expr_mcase(e: MCase, vs, rs, unit):
-    loc = unit.loc
     scrut_c = _compile_term(e.scrut, vs, rs, unit)
     left_slot, right_slot = unit.slot(), unit.slot()
     left_c = _compile_expr(e.left_arm, vs, {**rs, e.left_name: left_slot}, unit)
@@ -582,12 +643,13 @@ def _expr_mcase(e: MCase, vs, rs, unit):
             event, slot, arm_c = INR_EVENT, right_slot, right_c
         else:
             raise Stuck("mcase of a non-sum value")
-        branch.append(event)
-        stats.branch_events += 1
-        if len(branch) > stats.max_branch_len:
-            stats.max_branch_len = len(branch)
-        if cfg.trace:
-            stats.events.append(("event", loc, event))
+        if not cfg.pure:
+            branch.append(event)
+            stats.branch_events += 1
+            if len(branch) > stats.max_branch_len:
+                stats.max_branch_len = len(branch)
+            if cfg.trace:
+                stats.events.append(("event", fr[0].loc, event))
         fr[slot] = v.body
         return arm_c(fr, cfg, store, branch)
     return ex
@@ -599,21 +661,27 @@ _EXPR_COMPILERS = {
 }
 
 
-def _compile_fun(store: Store, fn: MFunVal) -> tuple:
-    """Compile `fn`'s body and keep it in `store.code` under `fn.loc`.
-    The entry is (body, frame padding, compiled body); slot 0 of the
-    frame holds the function itself and slot 1 its argument."""
-    unit = _Unit(2, fn.loc)
-    run = _compile_expr(fn.body, {fn.fname: 0}, {fn.arg: 1}, unit)
-    code = store.code[fn.loc] = (fn.body, (None,) * (unit.size - 2), run)
+def _compile_body(fn, vnames: tuple = (), rnames: tuple = ()) -> tuple:
+    """Compile the body of the function term `fn`, which captures the
+    variables `vnames` and the resources `rnames`. Returns the compiled
+    body and its frame padding. The frame holds the function value in
+    slot 0, its argument in slot 1, then the captured values in order."""
+    ncap = len(vnames) + len(rnames)
+    unit = _Unit(2 + ncap, range(2, 2 + ncap))
+    vs = {name: 2 + i for i, name in enumerate(vnames)}
+    rs = {name: 2 + len(vnames) + i for i, name in enumerate(rnames)}
+    vs[fn.fname] = 0
+    rs[fn.arg] = 1
+    run = _compile_expr(fn.body, vs, rs, unit)
+    return run, (None,) * (unit.size - 2 - ncap)
+
+
+def _compile_fun(store: Store, key: int, fn) -> tuple:
+    """Compile the closed function value `fn` and keep its code in
+    `store.code` under `key`: (body, frame padding, compiled body)."""
+    run, pad = _compile_body(fn)
+    code = store.code[key] = (fn.body, pad, run)
     return code
-
-
-def _eval_top(store: Store, t: Term, values: dict, cfg: EvalConfig) -> Term:
-    """Compile and evaluate `t` with the variables `values` in scope."""
-    unit = _Unit(len(values))
-    ev = _compile_term(t, {name: i for i, name in enumerate(values)}, {}, unit)
-    return ev([*values.values(), *(None,) * (unit.size - len(values))], cfg, store)
 
 
 def eval_term(store: Store, t: Term, cfg: "EvalConfig | None" = None):
@@ -621,7 +689,9 @@ def eval_term(store: Store, t: Term, cfg: "EvalConfig | None" = None):
     in is extended in place and returned for convenience."""
     if cfg is None:
         cfg = EvalConfig()
-    return _eval_top(store, t, {}, cfg), store
+    unit = _Unit(0)
+    ev = _compile_term(t, {}, {}, unit)
+    return ev([None] * unit.size, cfg, store), store
 
 
 def eval_expr(store: Store, loc: int, branch, e: Expr, cfg: "EvalConfig | None" = None):
@@ -629,9 +699,35 @@ def eval_expr(store: Store, loc: int, branch, e: Expr, cfg: "EvalConfig | None" 
     from `branch` (a sequence of encoded events)."""
     if cfg is None:
         cfg = EvalConfig()
-    unit = _Unit(0, loc)
+    unit = _Unit(1)
     ex = _compile_expr(e, {}, {}, unit)
-    return ex([None] * unit.size, cfg, store, list(branch)), store
+    # slot 0 stands for the function value: only its location is read
+    frame = [SimpleNamespace(loc=loc)] + [None] * (unit.size - 1)
+    return ex(frame, cfg, store, list(branch)), store
+
+
+def compile_program(program: Program):
+    """Compile the declarations and main of `program` as one unit. The
+    result, `run(cfg, store)`, evaluates the declarations in order and
+    then main, and returns main's value and the declared values by name.
+    The code holds no state of a run, so it runs under every policy."""
+    unit = _Unit(0)
+    vs: "dict[str, int]" = {}
+    decls = []
+    for name, term in program.decls:
+        ev = _compile_term(term, vs, {}, unit)
+        vs[name] = unit.slot()
+        decls.append((name, vs[name], ev))
+    main = _compile_term(program.main, vs, {}, unit)
+    size = unit.size
+
+    def run(cfg: EvalConfig, store: Store):
+        fr = [None] * size
+        values: "dict[str, Term]" = {}
+        for name, slot, ev in decls:
+            values[name] = fr[slot] = ev(fr, cfg, store)
+        return main(fr, cfg, store), values
+    return run
 
 
 @dataclass(slots=True)
@@ -643,17 +739,17 @@ class RunResult:
 
 
 def run_program(program: Program, cfg: "EvalConfig | None" = None,
-                store: "Store | None" = None) -> RunResult:
+                store: "Store | None" = None, compiled=None) -> RunResult:
     """Evaluate the declarations in order, threading one store, then the
     main term with every declared name bound to its value. Reuse across
     top-level calls happens precisely because the store persists between
-    declarations and main."""
+    declarations and main. `compiled` is `compile_program(program)`, if
+    the caller has it already."""
     if cfg is None:
         cfg = EvalConfig()
     if store is None:
         store = Store()
-    values: "dict[str, Term]" = {}
-    for name, term in program.decls:
-        values[name] = _eval_top(store, term, values, cfg)
-    value = _eval_top(store, program.main, values, cfg)
+    if compiled is None:
+        compiled = compile_program(program)
+    value, values = compiled(cfg, store)
     return RunResult(value, store, values, cfg.stats)

@@ -24,44 +24,6 @@ KIND_SUM = 1
 INL_EVENT = (KIND_SUM, 0)
 INR_EVENT = (KIND_SUM, 1)
 
-EventCode = "tuple[int, int]"
-Branch = "tuple[EventCode, ...]"
-
-
-@dataclass(slots=True, eq=True, frozen=True)
-class BangEv:
-    index: int
-
-
-@dataclass(slots=True, eq=True, frozen=True)
-class InlEv:
-    pass
-
-
-@dataclass(slots=True, eq=True, frozen=True)
-class InrEv:
-    pass
-
-
-def encode_event(ev) -> "tuple[int, int]":
-    t = type(ev)
-    if t is BangEv:
-        return (KIND_BANG, ev.index)
-    if t is InlEv:
-        return INL_EVENT
-    if t is InrEv:
-        return INR_EVENT
-    raise TypeError(f"not an event: {ev!r}")
-
-
-def decode_event(code: "tuple[int, int]"):
-    kind, payload = code
-    if kind == KIND_BANG:
-        return BangEv(payload)
-    if kind == KIND_SUM:
-        return InlEv() if payload == 0 else InrEv()
-    raise ValueError(f"bad event code: {code!r}")
-
 
 def index_of(v: Term) -> int:
     """The injective index of a value of indexable type: an int is its
@@ -182,9 +144,10 @@ class Store:
     """Maps locations to memo tables; also registers boxed values.
 
     A store is confined to one evaluation. Independent evaluations get
-    independent stores and may run concurrently. `code` holds the
-    evaluator's compiled function bodies by location, so they live
-    exactly as long as the tables they serve.
+    independent stores and may run concurrently. `code` holds, for each
+    function value made in this store (keyed by its location, or under
+    the pure policy by its identity), its closed body, captured values
+    and compiled code, so they live exactly as long as the store.
     """
 
     tables: "dict[int, MemoTable]" = field(default_factory=dict)
@@ -204,6 +167,3 @@ class Store:
         self.next_tag = tag + 1
         self.boxes[tag] = v
         return BoxVal(tag)
-
-    def unbox(self, b: BoxVal) -> Term:
-        return self.boxes[b.tag]

@@ -495,28 +495,32 @@ def node_fields(cls: type) -> "tuple[str, ...]":
     return fs
 
 
-def term_eq(a: Node, b: Node) -> bool:
+def term_eq(a: Node, b: Node, same_box=None) -> bool:
     """Structural equality of terms/expressions, ignoring positions.
 
     Types embedded in nodes compare with `type_eq` (alpha-equivalence);
-    box tags and locations compare literally.
+    locations compare literally, and so do box tags unless `same_box`
+    is given: then two distinct boxes are equal if `same_box(a, b)` is.
     """
     if a is b:
         return True
     ta = type(a)
     if ta is not type(b):
         return False
+    if ta is BoxVal and same_box is not None:
+        return same_box(a, b)
     for name in node_fields(ta):
         va = getattr(a, name)
         vb = getattr(b, name)
         if isinstance(va, (Term, Expr)):
-            if not term_eq(va, vb):
+            if not term_eq(va, vb, same_box):
                 return False
         elif isinstance(va, Type):
             if not type_eq(va, vb):
                 return False
         elif isinstance(va, tuple):
-            if len(va) != len(vb) or not all(term_eq(x, y) for x, y in zip(va, vb)):
+            if len(va) != len(vb) or not all(term_eq(x, y, same_box)
+                                             for x, y in zip(va, vb)):
                 return False
         elif va != vb:
             return False

@@ -68,6 +68,42 @@ def test_deep_nesting_runs_or_fails_cleanly(tmp_path, levels):
         assert "Traceback" not in proc.stderr
 
 
+CHAINS = {
+    "operators": ("main " + " + ".join(["1"] * 2000) + "\n", {"run": "2000", "check": "int"}),
+    "bangs": ("main " + "! " * 2000 + "1\n", None),  # `!!int` is not indexable
+}
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("chain", CHAINS)
+def test_long_chain_checks_without_exhaustion(tmp_path, chain, command):
+    # a fresh process, so nothing has raised the recursion limit: the
+    # typechecker recurses once per operator or bang
+    src, printed = CHAINS[chain]
+    path = tmp_path / f"{chain}.mfl"
+    path.write_text(src)
+    proc = subprocess.run([sys.executable, "-m", "mfl", command, str(path)],
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    if printed:
+        assert (proc.returncode, proc.stdout.strip()) == (0, printed[command]), proc.stderr
+    else:
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"{path}:1:") and "NotIndexable" in proc.stderr
+
+
+@pytest.mark.parametrize("exhaustion, message", [
+    (RecursionError, "recursion too deep"), (MemoryError, "out of memory")])
+def test_exhaustion_is_a_runtime_error(corpus_file, capsys, monkeypatch,
+                                       exhaustion, message):
+    def exhausted(*args):
+        raise exhaustion()
+
+    monkeypatch.setattr(cli, "run_program", exhausted)
+    assert cli.main(["run", corpus_file("fib"), "--seed", "0"]) == 1
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
+
+
 def test_run_prints_value_and_stats(corpus_file, tmp_path, capsys):
     stats = tmp_path / "stats.json"
     code = cli.main(["run", corpus_file("fib"), "--seed", "3",

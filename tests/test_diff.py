@@ -1,8 +1,9 @@
+import mfl.eval_memo as eval_memo
 from mfl.corpus import CORPUS_NAMES, load
 from mfl.eval_pure import diff_check, values_agree
 from mfl.gen import gen_program
 from mfl.parser import parse
-from mfl.syntax import BoxVal, IntLit, Pair, UnitLit
+from mfl.syntax import BoxVal, Expr, IntLit, MFun, Pair, Term, UnitLit, node_fields
 
 import pytest
 
@@ -89,3 +90,35 @@ def test_same_fault_on_both_sides_agrees():
 def test_mismatched_values_reported():
     # sanity-check the negative path of the comparator itself
     assert not values_agree(IntLit(1), {}, IntLit(2), {})
+
+
+def _mfun_sites(program) -> list:
+    """Every `mfun` node of `program`."""
+    stack, sites = [term for _, term in program.decls] + [program.main], []
+    while stack:
+        node = stack.pop()
+        if type(node) is MFun:
+            sites.append(node)
+        for name in node_fields(type(node)):
+            value = getattr(node, name)
+            for child in value if type(value) is tuple else (value,):
+                if isinstance(child, (Term, Expr)):
+                    stack.append(child)
+    return sites
+
+
+def test_diff_check_compiles_each_site_once(monkeypatch):
+    # one compiled program serves both runs, and an mfun body compiles
+    # on its site's first allocation: once per site, not per run or value
+    compiled, real = [], eval_memo._compile_body
+
+    def counted(fn, *captured):
+        compiled.append(fn)
+        return real(fn, *captured)
+
+    monkeypatch.setattr(eval_memo, "_compile_body", counted)
+    program = load("knapsack")
+    assert diff_check(program).ok
+    sites = _mfun_sites(program)
+    assert len(sites) == 6  # knapsack evaluates every one of its sites
+    assert sorted(map(id, compiled)) == sorted(map(id, sites))

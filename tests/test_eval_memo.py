@@ -203,6 +203,12 @@ def test_cold_mode_same_value():
     assert term_eq(erase(warm.value), erase(cold.value))
 
 
+def test_unknown_mode_is_rejected():
+    # a misspelt mode must not silently run as cold
+    with pytest.raises(ValueError):
+        EvalConfig(mode="Pure")
+
+
 def test_eval_expr_public_interface():
     store = Store()
     cfg = fresh()
@@ -235,6 +241,19 @@ def test_checked_return_rejects_bound_resource():
     # unchecked, the body still runs and returns the bound value
     v, _ = eval_expr(store, loc, [], body, fresh(checked=False))
     assert term_eq(v, IntLit(1))
+
+
+def test_checked_return_allows_captured_resource():
+    # a resource a function value captures is substituted into its closed
+    # body, so it is not free there; one the body binds again still is
+    outer = "case inl [int + int] 4 of inl r => {} | inr s => 0 end"
+    captured = "(mfun g (b : !int) : int is let !q = b in return r + q end end) (!1)"
+    v, _ = eval_term(Store(), parse_term(outer.format(captured)), fresh())
+    assert term_eq(v, IntLit(5))
+    rebound = ("(mfun g (b : int * int) : int is let * (r, w) = b in return r end end) "
+               "(7, 8)")
+    with pytest.raises(InternalInvariantError):
+        eval_term(Store(), parse_term(outer.format(rebound)), fresh())
 
 
 def test_stuck_on_free_variable():

@@ -23,8 +23,10 @@ import pytest
 
 from mfl.deepcall import call_with_deep_stack
 from mfl.errors import MflRuntimeError
-from mfl.eval_pure import PureState, run_program_pure
+from mfl.eval_memo import EvalConfig
+from mfl.eval_pure import run_program_pure
 from mfl.gen import gen_program
+from mfl.memostore import Store
 from mfl.parser import parse_term
 from mfl.pretty import print_value
 from mfl.syntax import (INT, IntLit, MFunVal, Pair, Program, Res, Return, Roll,
@@ -75,13 +77,13 @@ STUCK = {
 
 def _run(program: Program) -> dict:
     """Outcome, counters and box count of one pure run of `program`."""
-    state = PureState()
+    state, cfg = Store(), EvalConfig(mode="pure")
     try:
-        result = call_with_deep_stack(run_program_pure, program, state)
+        result = call_with_deep_stack(run_program_pure, program, state, cfg)
         outcome = {"value": print_value(result.value, result.state.boxes)}
     except MflRuntimeError as exc:
         outcome = {"error": type(exc).__name__, "message": str(exc)}
-    return {**outcome, "stats": state.stats.as_dict(), "boxes": len(state.boxes)}
+    return {**outcome, "stats": cfg.stats.as_dict(), "boxes": len(state.boxes)}
 
 
 def _cases() -> "dict[str, Program]":

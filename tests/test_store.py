@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from mfl.errors import DuplicateBranch, NonIndexableValue, PrefixViolation
 from mfl.memostore import (
-    BangEv, InlEv, InrEv, MemoTable, Store, decode_event, encode_event,
-    index_of, mt_insert, mt_lookup,
+    INL_EVENT, INR_EVENT, KIND_BANG, KIND_SUM, MemoTable, Store, index_of,
+    mt_insert, mt_lookup,
 )
 from mfl.stats import EvalStats
 from mfl.syntax import BoxVal, IntLit, Pair, UnitLit
@@ -46,77 +46,74 @@ def test_index_of_injective_at_scale():
     assert len(tags) == 10 ** 5
 
 
-def test_encode_event():
-    assert encode_event(BangEv(7)) == (0, 7)
-    assert encode_event(InlEv()) == (1, 0)
-    assert encode_event(InrEv()) == (1, 1)
-    for ev in (BangEv(-3), InlEv(), InrEv()):
-        assert decode_event(encode_event(ev)) == ev
+def bang(index: int) -> "tuple[int, int]":
+    return (KIND_BANG, index)
 
 
 def test_bang_and_sum_events_never_collide():
     # a bang of value 0 or 1 is distinct from an arm event
-    assert encode_event(BangEv(0)) != encode_event(InlEv())
-    assert encode_event(BangEv(1)) != encode_event(InrEv())
+    assert (INL_EVENT, INR_EVENT) == ((KIND_SUM, 0), (KIND_SUM, 1))
+    assert bang(0) != INL_EVENT
+    assert bang(1) != INR_EVENT
 
 
 def branch(*events):
-    return [encode_event(e) for e in events]
+    return list(events)
 
 
 def test_lookup_empty_table():
     table = MemoTable()
-    assert mt_lookup(table, branch(BangEv(5))) == (False, None)
+    assert mt_lookup(table, branch(bang(5))) == (False, None)
     assert mt_lookup(table, []) == (False, None)
 
 
 def test_read_your_write():
     table = MemoTable()
-    mt_insert(table, branch(BangEv(5)), "v")
-    assert mt_lookup(table, branch(BangEv(5))) == (True, "v")
+    mt_insert(table, branch(bang(5)), "v")
+    assert mt_lookup(table, branch(bang(5))) == (True, "v")
 
 
 def test_distinct_branches_do_not_alias():
     table = MemoTable()
-    mt_insert(table, branch(BangEv(5)), "v")
-    assert mt_lookup(table, branch(BangEv(5), InlEv()))[0] is False
-    assert mt_lookup(table, branch(BangEv(6)))[0] is False
+    mt_insert(table, branch(bang(5)), "v")
+    assert mt_lookup(table, branch(bang(5), INL_EVENT))[0] is False
+    assert mt_lookup(table, branch(bang(6)))[0] is False
 
 
 def test_double_insert_same_branch_raises():
     table = MemoTable()
-    mt_insert(table, branch(BangEv(5)), "v")
+    mt_insert(table, branch(bang(5)), "v")
     with pytest.raises(DuplicateBranch):
-        mt_insert(table, branch(BangEv(5)), "w")
+        mt_insert(table, branch(bang(5)), "w")
     # extension-only: the original binding survives
-    assert mt_lookup(table, branch(BangEv(5))) == (True, "v")
+    assert mt_lookup(table, branch(bang(5))) == (True, "v")
 
 
 def test_keep_mode_preserves_first_binding():
     table = MemoTable()
-    mt_insert(table, branch(InlEv()), "first")
-    mt_insert(table, branch(InlEv()), "second", on_dup="keep")
-    assert mt_lookup(table, branch(InlEv())) == (True, "first")
+    mt_insert(table, branch(INL_EVENT), "first")
+    mt_insert(table, branch(INL_EVENT), "second", on_dup="keep")
+    assert mt_lookup(table, branch(INL_EVENT)) == (True, "first")
 
 
 def test_two_distinct_branches_both_retrievable():
     table = MemoTable()
-    mt_insert(table, branch(BangEv(1)), "a")
-    mt_insert(table, branch(BangEv(2), InrEv()), "b")
-    assert mt_lookup(table, branch(BangEv(1))) == (True, "a")
-    assert mt_lookup(table, branch(BangEv(2), InrEv())) == (True, "b")
+    mt_insert(table, branch(bang(1)), "a")
+    mt_insert(table, branch(bang(2), INR_EVENT), "b")
+    assert mt_lookup(table, branch(bang(1))) == (True, "a")
+    assert mt_lookup(table, branch(bang(2), INR_EVENT)) == (True, "b")
     assert len(table) == 2
 
 
 def test_prefix_freedom_enforced():
     table = MemoTable()
-    mt_insert(table, branch(BangEv(1), InlEv()), "deep")
+    mt_insert(table, branch(bang(1), INL_EVENT), "deep")
     with pytest.raises(PrefixViolation):
-        mt_insert(table, branch(BangEv(1)), "shallow")
+        mt_insert(table, branch(bang(1)), "shallow")
     table2 = MemoTable()
-    mt_insert(table2, branch(BangEv(1)), "shallow")
+    mt_insert(table2, branch(bang(1)), "shallow")
     with pytest.raises(PrefixViolation):
-        mt_insert(table2, branch(BangEv(1), InlEv()), "deep")
+        mt_insert(table2, branch(bang(1), INL_EVENT), "deep")
 
 
 def test_empty_branch_entry():
@@ -124,13 +121,13 @@ def test_empty_branch_entry():
     mt_insert(table, [], "root")
     assert mt_lookup(table, []) == (True, "root")
     with pytest.raises(PrefixViolation):
-        mt_insert(table, branch(InlEv()), "below-root")
+        mt_insert(table, branch(INL_EVENT), "below-root")
 
 
 def test_lookup_probe_count_is_branch_length_plus_one():
     for n in (0, 1, 3, 8):
         table = MemoTable()
-        key = branch(*[BangEv(i) for i in range(n)])
+        key = branch(*[bang(i) for i in range(n)])
         stats = EvalStats()
         mt_insert(table, key, "v", stats)
         assert stats.probes == n + 1
@@ -141,7 +138,7 @@ def test_lookup_probe_count_is_branch_length_plus_one():
 
 def test_items_enumerates_all_bindings():
     table = MemoTable()
-    keys = [branch(BangEv(1)), branch(BangEv(2), InlEv()), branch(BangEv(2), InrEv())]
+    keys = [branch(bang(1)), branch(bang(2), INL_EVENT), branch(bang(2), INR_EVENT)]
     for i, k in enumerate(keys):
         mt_insert(table, k, i)
     got = {k: v for k, v in table.items()}
@@ -154,7 +151,7 @@ def test_alloc_table_fresh_and_empty():
     l2 = store.alloc_table()
     assert l1 != l2
     assert len(store.tables) == 2
-    assert mt_lookup(store.tables[l2], branch(BangEv(0)))[0] is False
+    assert mt_lookup(store.tables[l2], branch(bang(0)))[0] is False
 
 
 def test_alloc_box_registry():
@@ -162,5 +159,5 @@ def test_alloc_box_registry():
     b1 = store.alloc_box(IntLit(1))
     b2 = store.alloc_box(IntLit(1))
     assert b1.tag != b2.tag
-    assert store.unbox(b1).value == 1
+    assert store.boxes[b1.tag].value == 1
     assert index_of(b1) == b1.tag
