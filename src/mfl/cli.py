@@ -207,6 +207,8 @@ def _run_command(args) -> int:
 def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "semantics", None) == "pure" and (args.cold or args.checked):
+        parser.error("--cold and --checked apply only to --semantics memo")
     try:
         return call_with_deep_stack(_run_command, args)
     except (ParseError, MflTypeError) as exc:

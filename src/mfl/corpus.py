@@ -1,4 +1,4 @@
-"""The shipped example programs and their expected-output oracles."""
+"""The shipped example programs."""
 
 from __future__ import annotations
 
@@ -34,39 +34,3 @@ def decode_int_list(v: Term, boxes: "dict[int, Term]") -> "list[int]":
             raise ValueError(f"not a list cell: {s!r}")
         out.append(s.body.left.value)
         v = s.body.right
-
-
-def _expect_int(n: int):
-    def check(value: Term, boxes: "dict[int, Term]") -> bool:
-        return type(value) is IntLit and value.value == n
-
-    return check
-
-
-def _check_hcons(value: Term, boxes: "dict[int, Term]") -> bool:
-    # both halves decode to [1, 2] and, having been hash-consed, share a tag
-    if type(value) is not Pair:
-        return False
-    left, right = value.left, value.right
-    return (type(left) is BoxVal and type(right) is BoxVal
-            and left.tag == right.tag
-            and decode_int_list(left, boxes) == [1, 2])
-
-
-def _check_quicksort(value: Term, boxes: "dict[int, Term]") -> bool:
-    return decode_int_list(value, boxes) == [1, 2, 3]
-
-
-_ORACLES = {
-    "fib": _expect_int(55),
-    "partial": _expect_int(76),
-    "knapsack": _expect_int(11),
-    "hcons": _check_hcons,
-    "quicksort": _check_quicksort,
-}
-
-
-def corpus() -> "list[tuple[str, str, object]]":
-    """All shipped programs as (name, source, oracle) where the oracle is
-    a predicate on (main value, box registry) for a memoizing run."""
-    return [(name, corpus_source(name), _ORACLES[name]) for name in CORPUS_NAMES]

@@ -100,6 +100,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.mode not in ("normal", "cold", "pure"):
             raise ValueError(f"unknown evaluation mode {self.mode!r}")
+        if self.fault not in (None, "skip_insert", "wrong_branch"):
+            raise ValueError(f"unknown fault {self.fault!r}")
         self.reuse = self.mode == "normal"
         self.pure = self.mode == "pure"
         if self.trace and self.stats.events is None:
@@ -565,13 +567,12 @@ def _expr_return(e: Return, vs, rs, unit):
         # the table object may have grown while the body ran; bind the
         # branch in the *post-evaluation* table
         table = store.tables[loc]
-        if cfg.fault == "skip_insert":
-            pass
-        elif cfg.fault == "wrong_branch":
-            try:
-                mt_insert(table, _perturb(branch), v, stats, on_dup="keep")
-            except PrefixViolation:
-                pass  # the mutant only poisons values, not the tree shape
+        if cfg.fault is not None:  # a mutant; "skip_insert" stores nothing
+            if cfg.fault == "wrong_branch":
+                try:
+                    mt_insert(table, _perturb(branch), v, stats, on_dup="keep")
+                except PrefixViolation:
+                    pass  # the mutant only poisons values, not the tree shape
         elif not cfg.reuse:  # cold
             mt_insert(table, branch, v, stats, on_dup="keep")
         else:

@@ -527,6 +527,29 @@ def term_eq(a: Node, b: Node, same_box=None) -> bool:
     return True
 
 
+# Binding structure: every node class with its subterm fields, each paired
+# with the fields naming the variables and the resources bound inside that
+# subterm. It is MFL's scoping stated once; `free_names`, `free_resources`,
+# `subst` and `erase` all traverse by it. `PrimOp.args` is the one field
+# holding a tuple of subterms.
+_BODY = (("body", (), ()),)
+_FUN = (("body", ("fname",), ("arg",)),)
+_ARMS = (("scrut", (), ()), ("left_arm", (), ("left_name",)),
+         ("right_arm", (), ("right_name",)))
+_SPLIT = (("scrut", (), ()), ("body", (), ("left_name", "right_name")))
+SUBTERMS: "dict[type, tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]]" = {
+    Var: (), Res: (), UnitLit: (), IntLit: (), BoxVal: (),
+    PrimOp: (("args", (), ()),),
+    Pair: (("left", (), ()), ("right", (), ())),
+    Apply: (("fn", (), ()), ("arg", (), ())),
+    MFun: _FUN, MFunVal: _FUN,
+    Bang: _BODY, Inl: _BODY, Inr: _BODY, Roll: _BODY, Unroll: _BODY,
+    Box: _BODY, Unbox: _BODY, KeyOf: _BODY, Return: _BODY,
+    TermCase: _ARMS, MCase: _ARMS, TermSplit: _SPLIT, LetPair: _SPLIT,
+    LetBang: (("scrut", (), ()), ("body", ("name",), ())),
+}
+
+
 _EMPTY_FVS: "frozenset[str]" = frozenset()
 
 
@@ -537,63 +560,87 @@ def free_names(node: Node) -> "frozenset[str]":
     rare false positive (a variable and a resource sharing a name) for a
     single cheap disjointness test.
     """
-    cached = node.fvs
+    try:
+        cached = node.fvs
+    except AttributeError:
+        raise TypeError(f"not a term or expression: {node!r}") from None
     if cached is not None:
         return cached
     t = type(node)
     if t is Var or t is Res:
         out = frozenset((node.name,))
-    elif t is IntLit or t is UnitLit or t is BoxVal:
-        out = _EMPTY_FVS
-    elif t is PrimOp:
-        out = _EMPTY_FVS
-        for a in node.args:
-            out = out | free_names(a)
-    elif t is Pair:
-        out = free_names(node.left) | free_names(node.right)
-    elif t is Apply:
-        out = free_names(node.fn) | free_names(node.arg)
-    elif t is MFun or t is MFunVal:
-        out = free_names(node.body) - {node.fname, node.arg}
-    elif t in (Bang, Inl, Inr, Roll, Unroll, Box, Unbox, KeyOf, Return):
-        out = free_names(node.body)
-    elif t is TermCase:
-        out = (free_names(node.scrut)
-               | (free_names(node.left_arm) - {node.left_name})
-               | (free_names(node.right_arm) - {node.right_name}))
-    elif t is TermSplit:
-        out = (free_names(node.scrut)
-               | (free_names(node.body) - {node.left_name, node.right_name}))
-    elif t is LetBang:
-        out = free_names(node.scrut) | (free_names(node.body) - {node.name})
-    elif t is LetPair:
-        out = (free_names(node.scrut)
-               | (free_names(node.body) - {node.left_name, node.right_name}))
-    elif t is MCase:
-        out = (free_names(node.scrut)
-               | (free_names(node.left_arm) - {node.left_name})
-               | (free_names(node.right_arm) - {node.right_name}))
     else:
-        raise TypeError(f"not a term or expression: {node!r}")
+        out = _EMPTY_FVS
+        for name, vbound, rbound in SUBTERMS[t]:
+            child = getattr(node, name)
+            if type(child) is tuple:
+                for c in child:
+                    out = out | free_names(c)
+                continue
+            fv = free_names(child)
+            for b in vbound + rbound:
+                fv = fv - {getattr(node, b)}
+            out = out | fv if out else fv
     node.fvs = out
     return out
 
 
-def _drop1(mapping: dict, name: str) -> dict:
-    if name in mapping:
-        out = dict(mapping)
-        del out[name]
+def free_resources(node: Node) -> "set[str]":
+    """The set of resource names occurring free in a term or expression."""
+    t = type(node)
+    if t is Res:
+        return {node.name}
+    subterms = SUBTERMS.get(t)
+    if subterms is None:
+        raise TypeError(f"not a term or expression: {node!r}")
+    out: "set[str]" = set()
+    if node.fvs == _EMPTY_FVS:  # closed, as `free_names` has cached
         return out
-    return mapping
+    for name, _, rbound in subterms:
+        child = getattr(node, name)
+        if type(child) is tuple:
+            for c in child:
+                out |= free_resources(c)
+            continue
+        fr = free_resources(child)
+        for b in rbound:
+            fr.discard(getattr(node, b))
+        out |= fr
+    return out
 
 
-def _drop2(mapping: dict, n1: str, n2: str) -> dict:
-    if n1 in mapping or n2 in mapping:
-        out = dict(mapping)
-        out.pop(n1, None)
-        out.pop(n2, None)
-        return out
-    return mapping
+def _unbind(mapping: dict, node: Node, binders: "tuple[str, ...]") -> dict:
+    """`mapping` without the names held in `node`'s `binders` fields."""
+    out = mapping
+    for b in binders:
+        name = getattr(node, b)
+        if name in out:
+            if out is mapping:
+                out = dict(mapping)
+            del out[name]
+    return out
+
+
+def _map_subterms(node: Node, fn, vmap, rmap) -> Node:
+    """`node` with each subterm `s` replaced by `fn(s, vm, rm)`, where `vm`
+    and `rm` are `vmap` and `rmap` less the names bound around `s`: `node`
+    itself if no subterm changed, else a new node without a position."""
+    changed = {}
+    for name, vbound, rbound in SUBTERMS[type(node)]:
+        child = getattr(node, name)
+        vm = _unbind(vmap, node, vbound) if vbound and vmap else vmap
+        rm = _unbind(rmap, node, rbound) if rbound and rmap else rmap
+        if type(child) is tuple:
+            new = tuple([fn(c, vm, rm) for c in child])
+            if any(x is not y for x, y in zip(new, child)):
+                changed[name] = new
+        elif (new := fn(child, vm, rm)) is not child:
+            changed[name] = new
+    if not changed:
+        return node
+    t = type(node)
+    return t(*[changed[f] if f in changed else getattr(node, f)
+               for f in node_fields(t)])
 
 
 def subst(node: Node, vmap: "dict[str, Term]", rmap: "dict[str, Term]") -> Node:
@@ -610,108 +657,7 @@ def subst(node: Node, vmap: "dict[str, Term]", rmap: "dict[str, Term]") -> Node:
         return vmap.get(node.name, node)
     if t is Res:
         return rmap.get(node.name, node)
-    if t is Apply:
-        return Apply(subst(node.fn, vmap, rmap), subst(node.arg, vmap, rmap))
-    if t is Bang:
-        return Bang(subst(node.body, vmap, rmap))
-    if t is PrimOp:
-        return PrimOp(node.op, tuple(subst(x, vmap, rmap) for x in node.args))
-    if t is Pair:
-        return Pair(subst(node.left, vmap, rmap), subst(node.right, vmap, rmap))
-    if t is MFun or t is MFunVal:
-        vm = _drop1(vmap, node.fname)
-        rm = _drop1(rmap, node.arg)
-        b = subst(node.body, vm, rm)
-        if b is node.body:
-            return node
-        if t is MFun:
-            return MFun(node.fname, node.arg, node.arg_type, node.res_type, b)
-        return MFunVal(node.loc, node.fname, node.arg, node.arg_type, node.res_type, b)
-    if t is Inl:
-        return Inl(subst(node.body, vmap, rmap), node.left_type, node.right_type)
-    if t is Inr:
-        return Inr(subst(node.body, vmap, rmap), node.left_type, node.right_type)
-    if t is Roll:
-        return Roll(subst(node.body, vmap, rmap), node.rec_type)
-    if t is Unroll:
-        return Unroll(subst(node.body, vmap, rmap))
-    if t is Box:
-        return Box(subst(node.body, vmap, rmap))
-    if t is Unbox:
-        return Unbox(subst(node.body, vmap, rmap))
-    if t is KeyOf:
-        return KeyOf(subst(node.body, vmap, rmap))
-    if t is TermCase:
-        return TermCase(subst(node.scrut, vmap, rmap),
-                        node.left_name,
-                        subst(node.left_arm, vmap, _drop1(rmap, node.left_name)),
-                        node.right_name,
-                        subst(node.right_arm, vmap, _drop1(rmap, node.right_name)))
-    if t is TermSplit:
-        return TermSplit(subst(node.scrut, vmap, rmap),
-                         node.left_name, node.right_name,
-                         subst(node.body, vmap,
-                               _drop2(rmap, node.left_name, node.right_name)))
-    if t is Return:
-        return Return(subst(node.body, vmap, rmap))
-    if t is LetBang:
-        return LetBang(node.name, node.ann,
-                       subst(node.scrut, vmap, rmap),
-                       subst(node.body, _drop1(vmap, node.name), rmap))
-    if t is LetPair:
-        return LetPair(node.left_name, node.left_ann,
-                       node.right_name, node.right_ann,
-                       subst(node.scrut, vmap, rmap),
-                       subst(node.body, vmap,
-                             _drop2(rmap, node.left_name, node.right_name)))
-    if t is MCase:
-        return MCase(subst(node.scrut, vmap, rmap),
-                     node.left_name, node.left_ann,
-                     subst(node.left_arm, vmap, _drop1(rmap, node.left_name)),
-                     node.right_name, node.right_ann,
-                     subst(node.right_arm, vmap, _drop1(rmap, node.right_name)))
-    raise TypeError(f"not a term or expression: {node!r}")
-
-
-def free_resources(node: Node) -> "set[str]":
-    """The set of resource names occurring free in a term or expression."""
-    t = type(node)
-    if t is Res:
-        return {node.name}
-    if t in (Var, UnitLit, IntLit, BoxVal):
-        return set()
-    if t is PrimOp:
-        out: "set[str]" = set()
-        for a in node.args:
-            out |= free_resources(a)
-        return out
-    if t in (Bang, Roll, Unroll, Box, Unbox, KeyOf, Return):
-        return free_resources(node.body)
-    if t is Pair:
-        return free_resources(node.left) | free_resources(node.right)
-    if t is Apply:
-        return free_resources(node.fn) | free_resources(node.arg)
-    if t in (MFun, MFunVal):
-        return free_resources(node.body) - {node.arg}
-    if t is Inl or t is Inr:
-        return free_resources(node.body)
-    if t is TermCase:
-        return (free_resources(node.scrut)
-                | (free_resources(node.left_arm) - {node.left_name})
-                | (free_resources(node.right_arm) - {node.right_name}))
-    if t is TermSplit:
-        return (free_resources(node.scrut)
-                | (free_resources(node.body) - {node.left_name, node.right_name}))
-    if t is LetBang:
-        return free_resources(node.scrut) | free_resources(node.body)
-    if t is LetPair:
-        return (free_resources(node.scrut)
-                | (free_resources(node.body) - {node.left_name, node.right_name}))
-    if t is MCase:
-        return (free_resources(node.scrut)
-                | (free_resources(node.left_arm) - {node.left_name})
-                | (free_resources(node.right_arm) - {node.right_name}))
-    raise TypeError(f"not a term or expression: {node!r}")
+    return _map_subterms(node, subst, vmap, rmap)
 
 
 def erase(node: Node) -> Node:
@@ -719,78 +665,15 @@ def erase(node: Node) -> Node:
     came from. Idempotent, and commutes with substitution. Box tags are
     allocation artifacts, not locations, and survive erasure.
     """
+    return _erase(node, None, None)
+
+
+def _erase(node: Node, _vmap, _rmap) -> Node:
     t = type(node)
-    if t in (Var, Res, UnitLit, IntLit, BoxVal):
-        return node
     if t is MFunVal:
-        return MFun(node.fname, node.arg, node.arg_type, node.res_type, erase(node.body))
-    if t is MFun:
-        b = erase(node.body)
-        return node if b is node.body else MFun(node.fname, node.arg, node.arg_type, node.res_type, b)
-    if t is PrimOp:
-        args = tuple(erase(a) for a in node.args)
-        if all(x is y for x, y in zip(args, node.args)):
-            return node
-        return PrimOp(node.op, args)
-    if t is Pair:
-        l, r = erase(node.left), erase(node.right)
-        return node if l is node.left and r is node.right else Pair(l, r)
-    if t is Apply:
-        f, a = erase(node.fn), erase(node.arg)
-        return node if f is node.fn and a is node.arg else Apply(f, a)
-    if t is Bang:
-        b = erase(node.body)
-        return node if b is node.body else Bang(b)
-    if t is Inl:
-        b = erase(node.body)
-        return node if b is node.body else Inl(b, node.left_type, node.right_type)
-    if t is Inr:
-        b = erase(node.body)
-        return node if b is node.body else Inr(b, node.left_type, node.right_type)
-    if t is Roll:
-        b = erase(node.body)
-        return node if b is node.body else Roll(b, node.rec_type)
-    if t is Unroll:
-        b = erase(node.body)
-        return node if b is node.body else Unroll(b)
-    if t is Box:
-        b = erase(node.body)
-        return node if b is node.body else Box(b)
-    if t is Unbox:
-        b = erase(node.body)
-        return node if b is node.body else Unbox(b)
-    if t is KeyOf:
-        b = erase(node.body)
-        return node if b is node.body else KeyOf(b)
-    if t is TermCase:
-        s = erase(node.scrut)
-        la, ra = erase(node.left_arm), erase(node.right_arm)
-        if s is node.scrut and la is node.left_arm and ra is node.right_arm:
-            return node
-        return TermCase(s, node.left_name, la, node.right_name, ra)
-    if t is TermSplit:
-        s, b = erase(node.scrut), erase(node.body)
-        if s is node.scrut and b is node.body:
-            return node
-        return TermSplit(s, node.left_name, node.right_name, b)
-    if t is Return:
-        b = erase(node.body)
-        return node if b is node.body else Return(b)
-    if t is LetBang:
-        s, b = erase(node.scrut), erase(node.body)
-        if s is node.scrut and b is node.body:
-            return node
-        return LetBang(node.name, node.ann, s, b)
-    if t is LetPair:
-        s, b = erase(node.scrut), erase(node.body)
-        if s is node.scrut and b is node.body:
-            return node
-        return LetPair(node.left_name, node.left_ann, node.right_name, node.right_ann, s, b)
-    if t is MCase:
-        s = erase(node.scrut)
-        la, ra = erase(node.left_arm), erase(node.right_arm)
-        if s is node.scrut and la is node.left_arm and ra is node.right_arm:
-            return node
-        return MCase(s, node.left_name, node.left_ann, la,
-                     node.right_name, node.right_ann, ra)
-    raise TypeError(f"not a term or expression: {node!r}")
+        return MFun(node.fname, node.arg, node.arg_type, node.res_type,
+                    _erase(node.body, None, None))
+    subterms = SUBTERMS.get(t)
+    if subterms is None:
+        raise TypeError(f"not a term or expression: {node!r}")
+    return _map_subterms(node, _erase, None, None) if subterms else node

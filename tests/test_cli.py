@@ -132,6 +132,15 @@ def test_run_pure_semantics(corpus_file, capsys):
     assert capsys.readouterr().out.strip() == "76"
 
 
+@pytest.mark.parametrize("flag", ["--cold", "--checked"])
+def test_run_pure_rejects_memo_flags(corpus_file, capsys, flag):
+    # the pure semantics has no tables to pay for or check
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", corpus_file("fib"), "--semantics", "pure", flag])
+    assert exc.value.code == 64
+    assert "--semantics memo" in capsys.readouterr().err
+
+
 def test_run_cold(corpus_file, tmp_path, capsys):
     stats = tmp_path / "s.json"
     cli.main(["run", corpus_file("fib"), "--cold", "--seed", "0",

@@ -30,6 +30,14 @@ def test_skip_insert_fault_is_benign():
         assert verdict.ok, (seed, verdict.detail)
 
 
+def test_unknown_fault_is_rejected():
+    # a misspelt mutant must not silently run the unmutated semantics
+    with pytest.raises(ValueError):
+        eval_memo.EvalConfig(fault="skip-insert")
+    with pytest.raises(ValueError):
+        diff_check(load("fib"), checked=False, fault="skip-insert")
+
+
 def test_wrong_branch_fault_is_caught():
     # inserting under a perturbed key poisons a later lookup somewhere;
     # a poisoned table can even make a traversal diverge, so cap the

@@ -1,12 +1,15 @@
 from hypothesis import given, settings, strategies as st
 
+from mfl.corpus import CORPUS_NAMES, load
+from mfl.errors import MflRuntimeError
 from mfl.eval_memo import EvalConfig, run_program
 from mfl.gen import GenLimits, gen_program
-from mfl.parser import parse_expr, parse_term
+from mfl.parser import parse, parse_expr, parse_term
 from mfl.syntax import (
-    Bang, INT, IntLit, LetPair, MFun, MFunVal, Pair, Res, Return, TBang,
-    TBox, TProd, TRec, TSum, TUnit, TVar, UNIT, UnitLit, Var, erase,
-    free_names, free_resources, subst, term_eq, type_eq,
+    SUBTERMS, Bang, Expr, INT, IntLit, LetPair, MFun, MFunVal, Pair, Res,
+    Return, TBang, TBox, TProd, TRec, TSum, TUnit, TVar, Term, UNIT, UnitLit,
+    Var, erase, free_names, free_resources, node_fields, subst, term_eq,
+    type_eq,
 )
 
 
@@ -94,6 +97,39 @@ def test_free_names_cached_union():
     t = parse_term("(x, r)", resources=("r",))
     assert free_names(t) == {"x", "r"}
     assert t.fvs == {"x", "r"}
+
+
+def _holds_subterms(value) -> bool:
+    if type(value) is tuple:
+        return all(isinstance(x, (Term, Expr)) for x in value)
+    return isinstance(value, (Term, Expr))
+
+
+def test_subterm_table_is_complete():
+    # the table must name exactly the fields holding subterms, for every
+    # node class that sources and run-time values contain
+    programs = [load(name) for name in CORPUS_NAMES] + [gen_program(s) for s in range(200)]
+    programs.append(parse("main keyof (box 1)"))  # neither the corpus nor `gen` has keyof
+    seen = set()
+    for program in programs:
+        roots = [term for _, term in program.decls] + [program.main]
+        try:
+            result = run_program(program, EvalConfig())
+            roots += [result.value, *result.decl_values.values(), *result.store.boxes.values()]
+        except MflRuntimeError:
+            pass
+        while roots:
+            node = roots.pop()
+            t = type(node)
+            seen.add(t)
+            assert t in SUBTERMS, t
+            held = [name for name in node_fields(t) if _holds_subterms(getattr(node, name))]
+            assert [name for name, _, _ in SUBTERMS[t]] == held, t
+            for name, vbound, rbound in SUBTERMS[t]:
+                assert all(type(getattr(node, b)) is str for b in vbound + rbound), t
+                child = getattr(node, name)
+                roots += child if type(child) is tuple else [child]
+    assert seen == set(SUBTERMS)
 
 
 def test_type_equality_alpha():
