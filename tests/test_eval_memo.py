@@ -81,6 +81,36 @@ def test_compound_lookups_cost_one_step_per_value_node():
     assert cfg.stats.steps - steps_before == 32
 
 
+def _run_steps(src: str):
+    cfg = fresh()
+    return run_program(parse(src), cfg).value, cfg.stats.steps
+
+
+def test_let_star_of_nested_pair_charges_every_node():
+    value, steps = _run_steps(
+        "main (mfun f (p : (int * !int) * (int + int)) : int is "
+        "let * (a, c) = p in let * (x, y) = a in let !z = y in return z "
+        "end end end end) ((1, !2), inl [int + int] 3)")
+    assert term_eq(value, IntLit(2))
+    # apply + fn + arg (7) + let* + p (7) + let* + a (4) + let! + y (2)
+    # + return + z
+    assert steps == 27
+
+
+def test_bang_of_a_name_holding_a_pair():
+    value, steps = _run_steps("val x = (1, (!2, 3)) main !x")
+    assert term_eq(value, Bang(Pair(IntLit(1), Pair(Bang(IntLit(2)), IntLit(3)))))
+    # the declared value (6) + bang + x (6)
+    assert steps == 13
+
+
+def test_split_of_a_pair_of_bangs():
+    value, steps = _run_steps("val p = (!1, !2) main split p as (a, b) in a end")
+    assert term_eq(value, Bang(IntLit(1)))
+    # the declared value (5) + split + p (5) + a (2)
+    assert steps == 13
+
+
 def test_fib_value_matches_reference():
     result, _ = run_fib(10)
     assert term_eq(result.value, IntLit(fib(10)))
