@@ -96,8 +96,8 @@ def _quicksort_trial(program: Program, base_keys: "list[int]", new_key: int) -> 
     }
 
 
-def rerun_misses(sizes: "list[int]", trials: int, seed: int,
-                    program: "Program | None" = None) -> "list[dict]":
+def quicksort_rows(sizes: "list[int]", trials: int, seed: int,
+                   program: "Program | None" = None) -> "list[dict]":
     """Average fresh-run and prepend-rerun costs per list length.
 
     Each trial draws `n + 1` distinct keys with the trial's own seeded
@@ -127,5 +127,5 @@ def bench_quicksort(sizes: "list[int]", trials: int, seed: int,
         "benchmark": "quicksort",
         "seed": seed,
         "trials": trials,
-        "rows": rerun_misses(sizes, trials, seed, program),
+        "rows": quicksort_rows(sizes, trials, seed, program),
     }

@@ -51,6 +51,21 @@ one per node of the value (see `_lookup_steps`). A closed value written
 in the program (a substituted declaration, say) costs its node count.
 `mt_lookup`, `mt_insert` and `subst` are called through this module's
 globals, so they can be intercepted here.
+
+Most operands that are names are read by their parent node: when the
+function of an application, the body of a `!`, `unbox` or `unroll`, or
+the scrutinee of a `let !`, `let*`, `mcase`, `case` or `split` is a
+bound name, or an application's argument is the bang of one, the node
+reads the frame slot itself and compiles no closure for the operand,
+which saves a Python call per name read (the dispatches a
+superoperator saves, Proebsting 1995). Every name read,
+inline or in the closure of `_compile_name`, is charged by the same
+two statements: one step for a one-node value, two for a banged leaf
+and `_lookup_steps` for the rest; then, in checked mode, a bare
+function value's table is checked, after its step is charged. A node
+charges its own step first and its operand's next, as when the operand
+was a closure, and every charge is added before anything raises, so the
+counters at a failure are those of the substitution rules too.
 """
 
 from __future__ import annotations
@@ -284,37 +299,74 @@ def _compile_name(name: str, slot: "int | None", kind: str):
             raise Stuck(f"free {kind} '{name}' at run time")
         return ev
 
-    # the common values, one node or a banged leaf, are charged inline
+    # The charge of a name read, which every operand read in this module
+    # repeats: the common values, one node or a banged leaf, are charged
+    # inline, the rest by `_lookup_steps`; a bare function value's table
+    # is checked after its step is charged.
     def ev(fr, cfg, store):
         v = fr[slot]
         tp = type(v)
-        if tp in _ATOMS:
-            cfg.stats.steps += 1
-            if cfg.checked and tp is MFunVal:
-                _check_loc(store, v.loc)
-        elif tp is Bang and type(v.body) in _LEAVES:
-            cfg.stats.steps += 2
-        else:
-            cfg.stats.steps += _lookup_steps(store, v, cfg)
+        cfg.stats.steps += (1 if tp in _ATOMS else
+                            2 if tp is Bang and type(v.body) in _LEAVES else
+                            _lookup_steps(store, v, cfg))
+        if tp is MFunVal and cfg.checked:
+            _check_loc(store, v.loc)
         return v
     return ev
 
 
+def _operand(t: Term, vs: dict, rs: dict, unit: _Unit, banged: bool = False):
+    """Compile the operand `t` of a node: (None, slot) if `t` is a bound
+    name, or with `banged` the bang of one, which the node reads from its
+    frame slot and charges itself by the statements in `_compile_name`;
+    else (t's closure, None)."""
+    name = t
+    if banged:
+        name = t.body if type(t) is Bang else None
+    tp = type(name)
+    if tp is Var or tp is Res:
+        slot = (vs if tp is Var else rs).get(name.name)
+        if slot is not None:
+            return None, slot
+    return _compile_term(t, vs, rs, unit), None
+
+
 def _term_apply(t: Apply, vs, rs, unit):
-    fn_c = _compile_term(t.fn, vs, rs, unit)
-    arg_c = _compile_term(t.arg, vs, rs, unit)
+    fn_c, fn_slot = _operand(t.fn, vs, rs, unit)
+    arg_c, arg_slot = _operand(t.arg, vs, rs, unit, banged=True)
 
     def ev(fr, cfg, store):
-        cfg.stats.steps += 1
-        fn = fn_c(fr, cfg, store)
-        tp = type(fn)
+        stats = cfg.stats
+        stats.steps += 1
+        if fn_c is None:
+            fn = fr[fn_slot]
+            tp = type(fn)
+            stats.steps += (1 if tp in _ATOMS else
+                            2 if tp is Bang and type(fn.body) in _LEAVES else
+                            _lookup_steps(store, fn, cfg))
+            if tp is MFunVal and cfg.checked:
+                _check_loc(store, fn.loc)
+        else:
+            fn = fn_c(fr, cfg, store)
+            tp = type(fn)
         if tp is MFunVal:
             key = fn.loc
         elif tp is MFun:  # a pure function value
             key = id(fn)
         else:
             raise Stuck("application of a non-function value")
-        arg = arg_c(fr, cfg, store)
+        if arg_c is None:  # the bang of a name
+            stats.steps += 1
+            v = fr[arg_slot]
+            tp = type(v)
+            stats.steps += (1 if tp in _ATOMS else
+                            2 if tp is Bang and type(v.body) in _LEAVES else
+                            _lookup_steps(store, v, cfg))
+            if tp is MFunVal and cfg.checked:
+                _check_loc(store, v.loc)
+            arg = Bang(v)
+        else:
+            arg = arg_c(fr, cfg, store)
         cfg.depth += 1
         if cfg.depth > cfg.depth_limit:
             raise DepthExceeded(f"application depth exceeded {cfg.depth_limit}")
@@ -373,13 +425,26 @@ def _term_pair(t: Pair, vs, rs, unit):
 
 def _term_wrap(t, vs, rs, unit):
     # Bang, Inl, Inr, Roll around a body that is not a value
-    body_c = _compile_term(t.body, vs, rs, unit)
     tp = type(t)
     if tp is Bang:
+        body_c, slot = _operand(t.body, vs, rs, unit)
+
         def ev(fr, cfg, store):
-            cfg.stats.steps += 1
-            return Bang(body_c(fr, cfg, store))
+            stats = cfg.stats
+            stats.steps += 1
+            if body_c is None:
+                v = fr[slot]
+                tp = type(v)
+                stats.steps += (1 if tp in _ATOMS else
+                                2 if tp is Bang and type(v.body) in _LEAVES else
+                                _lookup_steps(store, v, cfg))
+                if tp is MFunVal and cfg.checked:
+                    _check_loc(store, v.loc)
+            else:
+                v = body_c(fr, cfg, store)
+            return Bang(v)
         return ev
+    body_c = _compile_term(t.body, vs, rs, unit)
     types = (t.rec_type,) if tp is Roll else (t.left_type, t.right_type)
 
     def ev(fr, cfg, store):
@@ -421,11 +486,21 @@ def _term_mfun(t: MFun, vs, rs, unit):
 
 
 def _term_unroll(t: Unroll, vs, rs, unit):
-    body_c = _compile_term(t.body, vs, rs, unit)
+    body_c, slot = _operand(t.body, vs, rs, unit)
 
     def ev(fr, cfg, store):
-        cfg.stats.steps += 1
-        v = body_c(fr, cfg, store)
+        stats = cfg.stats
+        stats.steps += 1
+        if body_c is None:
+            v = fr[slot]
+            tp = type(v)
+            stats.steps += (1 if tp in _ATOMS else
+                            2 if tp is Bang and type(v.body) in _LEAVES else
+                            _lookup_steps(store, v, cfg))
+            if tp is MFunVal and cfg.checked:
+                _check_loc(store, v.loc)
+        else:
+            v = body_c(fr, cfg, store)
         if type(v) is not Roll:
             raise Stuck("unroll of a non-rolled value")
         return v.body
@@ -446,11 +521,21 @@ def _term_box(t: Box, vs, rs, unit):
 
 
 def _term_unbox(t: Unbox, vs, rs, unit):
-    body_c = _compile_term(t.body, vs, rs, unit)
+    body_c, slot = _operand(t.body, vs, rs, unit)
 
     def ev(fr, cfg, store):
-        cfg.stats.steps += 1
-        v = body_c(fr, cfg, store)
+        stats = cfg.stats
+        stats.steps += 1
+        if body_c is None:
+            v = fr[slot]
+            tp = type(v)
+            stats.steps += (1 if tp in _ATOMS else
+                            2 if tp is Bang and type(v.body) in _LEAVES else
+                            _lookup_steps(store, v, cfg))
+            if tp is MFunVal and cfg.checked:
+                _check_loc(store, v.loc)
+        else:
+            v = body_c(fr, cfg, store)
         if type(v) is not BoxVal:
             raise Stuck("unbox of a non-box value")
         return store.boxes[v.tag]
@@ -470,14 +555,24 @@ def _term_keyof(t: KeyOf, vs, rs, unit):
 
 
 def _term_case(t: TermCase, vs, rs, unit):
-    scrut_c = _compile_term(t.scrut, vs, rs, unit)
+    scrut_c, scrut_slot = _operand(t.scrut, vs, rs, unit)
     left_slot, right_slot = unit.slot(), unit.slot()
     left_c = _compile_term(t.left_arm, vs, {**rs, t.left_name: left_slot}, unit)
     right_c = _compile_term(t.right_arm, vs, {**rs, t.right_name: right_slot}, unit)
 
     def ev(fr, cfg, store):
-        cfg.stats.steps += 1
-        v = scrut_c(fr, cfg, store)
+        stats = cfg.stats
+        stats.steps += 1
+        if scrut_c is None:
+            v = fr[scrut_slot]
+            tp = type(v)
+            stats.steps += (1 if tp in _ATOMS else
+                            2 if tp is Bang and type(v.body) in _LEAVES else
+                            _lookup_steps(store, v, cfg))
+            if tp is MFunVal and cfg.checked:
+                _check_loc(store, v.loc)
+        else:
+            v = scrut_c(fr, cfg, store)
         vtp = type(v)
         if vtp is Inl:
             fr[left_slot] = v.body
@@ -490,14 +585,24 @@ def _term_case(t: TermCase, vs, rs, unit):
 
 
 def _term_split(t: TermSplit, vs, rs, unit):
-    scrut_c = _compile_term(t.scrut, vs, rs, unit)
+    scrut_c, scrut_slot = _operand(t.scrut, vs, rs, unit)
     left_slot, right_slot = unit.slot(), unit.slot()
     body_c = _compile_term(t.body, vs, {**rs, t.left_name: left_slot,
                                         t.right_name: right_slot}, unit)
 
     def ev(fr, cfg, store):
-        cfg.stats.steps += 1
-        v = scrut_c(fr, cfg, store)
+        stats = cfg.stats
+        stats.steps += 1
+        if scrut_c is None:
+            v = fr[scrut_slot]
+            tp = type(v)
+            stats.steps += (1 if tp in _ATOMS else
+                            2 if tp is Bang and type(v.body) in _LEAVES else
+                            _lookup_steps(store, v, cfg))
+            if tp is MFunVal and cfg.checked:
+                _check_loc(store, v.loc)
+        else:
+            v = scrut_c(fr, cfg, store)
         if type(v) is not Pair:
             raise Stuck("split of a non-pair value")
         fr[left_slot] = v.left
@@ -584,14 +689,23 @@ def _expr_return(e: Return, vs, rs, unit):
 
 
 def _expr_let_bang(e: LetBang, vs, rs, unit):
-    scrut_c = _compile_term(e.scrut, vs, rs, unit)
+    scrut_c, scrut_slot = _operand(e.scrut, vs, rs, unit)
     slot = unit.slot()
     body_c = _compile_expr(e.body, {**vs, e.name: slot}, rs, unit)
 
     def ex(fr, cfg, store, branch):
         stats = cfg.stats
         stats.steps += 1
-        v = scrut_c(fr, cfg, store)
+        if scrut_c is None:
+            v = fr[scrut_slot]
+            tp = type(v)
+            stats.steps += (1 if tp in _ATOMS else
+                            2 if tp is Bang and type(v.body) in _LEAVES else
+                            _lookup_steps(store, v, cfg))
+            if tp is MFunVal and cfg.checked:
+                _check_loc(store, v.loc)
+        else:
+            v = scrut_c(fr, cfg, store)
         if type(v) is not Bang:
             raise Stuck("let ! of a non-bang value")
         inner = v.body
@@ -611,14 +725,24 @@ def _expr_let_bang(e: LetBang, vs, rs, unit):
 
 
 def _expr_let_pair(e: LetPair, vs, rs, unit):
-    scrut_c = _compile_term(e.scrut, vs, rs, unit)
+    scrut_c, scrut_slot = _operand(e.scrut, vs, rs, unit)
     left_slot, right_slot = unit.slot(), unit.slot()
     body_c = _compile_expr(e.body, vs, {**rs, e.left_name: left_slot,
                                         e.right_name: right_slot}, unit)
 
     def ex(fr, cfg, store, branch):
-        cfg.stats.steps += 1
-        v = scrut_c(fr, cfg, store)
+        stats = cfg.stats
+        stats.steps += 1
+        if scrut_c is None:
+            v = fr[scrut_slot]
+            tp = type(v)
+            stats.steps += (1 if tp in _ATOMS else
+                            2 if tp is Bang and type(v.body) in _LEAVES else
+                            _lookup_steps(store, v, cfg))
+            if tp is MFunVal and cfg.checked:
+                _check_loc(store, v.loc)
+        else:
+            v = scrut_c(fr, cfg, store)
         if type(v) is not Pair:
             raise Stuck("let* of a non-pair value")
         fr[left_slot] = v.left
@@ -628,7 +752,7 @@ def _expr_let_pair(e: LetPair, vs, rs, unit):
 
 
 def _expr_mcase(e: MCase, vs, rs, unit):
-    scrut_c = _compile_term(e.scrut, vs, rs, unit)
+    scrut_c, scrut_slot = _operand(e.scrut, vs, rs, unit)
     left_slot, right_slot = unit.slot(), unit.slot()
     left_c = _compile_expr(e.left_arm, vs, {**rs, e.left_name: left_slot}, unit)
     right_c = _compile_expr(e.right_arm, vs, {**rs, e.right_name: right_slot}, unit)
@@ -636,7 +760,16 @@ def _expr_mcase(e: MCase, vs, rs, unit):
     def ex(fr, cfg, store, branch):
         stats = cfg.stats
         stats.steps += 1
-        v = scrut_c(fr, cfg, store)
+        if scrut_c is None:
+            v = fr[scrut_slot]
+            tp = type(v)
+            stats.steps += (1 if tp in _ATOMS else
+                            2 if tp is Bang and type(v.body) in _LEAVES else
+                            _lookup_steps(store, v, cfg))
+            if tp is MFunVal and cfg.checked:
+                _check_loc(store, v.loc)
+        else:
+            v = scrut_c(fr, cfg, store)
         vtp = type(v)
         if vtp is Inl:
             event, slot, arm_c = INL_EVENT, left_slot, left_c

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import fib_call_tree
 from test_typecheck import NEGATIVE_PROGRAMS
-from mfl.bench import overhead_ratio, rerun_misses
+from mfl.bench import overhead_ratio, quicksort_rows
 from mfl.corpus import CORPUS_NAMES, load
 from mfl.errors import MflTypeError
 from mfl.eval_memo import EvalConfig, eval_term, run_program
@@ -75,7 +75,7 @@ def test_criterion_3_constant_overhead():
 def test_criterion_4_quicksort_incremental():
     with criterion(4, "quicksort rerun: linear vs superlinear separation"):
         start = time.monotonic()
-        rows = rerun_misses([128, 256, 512, 1024], trials=20, seed=0)
+        rows = quicksort_rows([128, 256, 512, 1024], trials=20, seed=0)
         by_n = {row["n"]: row for row in rows}
         # (a) rerun cost grows at most 2.6x per doubling on average
         for small, big in ((128, 256), (256, 512), (512, 1024)):

@@ -104,6 +104,14 @@ def test_bang_of_a_name_holding_a_pair():
     assert steps == 13
 
 
+def test_argument_is_the_bang_of_a_name_holding_a_pair():
+    value, steps = _run_steps(
+        "val x = (1, !2) main (mfun f (a : !(int * !int)) : int is return 1 end) (!x)")
+    assert term_eq(value, IntLit(1))
+    # the declared value (4) + apply + fn + bang + x (4) + return + 1
+    assert steps == 13
+
+
 def test_split_of_a_pair_of_bangs():
     value, steps = _run_steps("val p = (!1, !2) main split p as (a, b) in a end")
     assert term_eq(value, Bang(IntLit(1)))

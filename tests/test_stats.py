@@ -1,6 +1,6 @@
 import pytest
 
-from mfl.bench import overhead_ratio, rerun_misses
+from mfl.bench import overhead_ratio, quicksort_rows
 from mfl.corpus import CORPUS_NAMES, load
 from mfl.eval_memo import EvalConfig, run_program
 from mfl.gen import gen_program
@@ -62,7 +62,7 @@ def test_overhead_bounded_on_small_fib():
 
 
 def test_quicksort_rerun_rows_shape():
-    rows = rerun_misses([16, 32], trials=2, seed=5)
+    rows = quicksort_rows([16, 32], trials=2, seed=5)
     assert [r["n"] for r in rows] == [16, 32]
     for row in rows:
         assert set(row) == {"n", "fresh_steps", "rerun_steps",
@@ -72,17 +72,17 @@ def test_quicksort_rerun_rows_shape():
 
 
 def test_quicksort_rerun_deterministic_under_seed():
-    a = rerun_misses([24], trials=2, seed=9)
-    b = rerun_misses([24], trials=2, seed=9)
+    a = quicksort_rows([24], trials=2, seed=9)
+    b = quicksort_rows([24], trials=2, seed=9)
     assert a == b
-    c = rerun_misses([24], trials=2, seed=10)
+    c = quicksort_rows([24], trials=2, seed=10)
     assert a != c
 
 
 def test_quicksort_rerun_rows_pinned():
     # the cost model is fixed: these rows must not move when the evaluator
     # is made faster, or criterion 4 could pass by counting less
-    assert rerun_misses([64, 128], trials=2, seed=0) == [
+    assert quicksort_rows([64, 128], trials=2, seed=0) == [
         {"n": 64, "fresh_steps": 69905.5, "rerun_steps": 18004.5,
          "rerun_hits": 6.0, "rerun_misses": 5.0},
         {"n": 128, "fresh_steps": 169578.5, "rerun_steps": 56545.5,
