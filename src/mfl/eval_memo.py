@@ -57,15 +57,15 @@ function of an application, the body of a `!`, `unbox` or `unroll`, or
 the scrutinee of a `let !`, `let*`, `mcase`, `case` or `split` is a
 bound name, or an application's argument is the bang of one, the node
 reads the frame slot itself and compiles no closure for the operand,
-which saves a Python call per name read (the dispatches a
-superoperator saves, Proebsting 1995). Every name read,
-inline or in the closure of `_compile_name`, is charged by the same
-two statements: one step for a one-node value, two for a banged leaf
-and `_lookup_steps` for the rest; then, in checked mode, a bare
-function value's table is checked, after its step is charged. A node
-charges its own step first and its operand's next, as when the operand
-was a closure, and every charge is added before anything raises, so the
-counters at a failure are those of the substitution rules too.
+which saves a Python call per name read (the dispatches a superoperator
+saves, Proebsting 1995). Every name read, inline or in the closure of
+`_compile_name`, is charged by the same two statements: one step for a
+one-node value, two for a banged leaf and `_lookup_steps` for the rest;
+then, in checked mode, a bare function value's table is checked, after
+its step is charged. A node charges its own step first and its
+operand's next, as when the operand was a closure, and every charge is
+added before anything raises, so the counters at a failure are those of
+the substitution rules too.
 """
 
 from __future__ import annotations
