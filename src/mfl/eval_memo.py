@@ -55,17 +55,16 @@ globals, so they can be intercepted here.
 Most operands that are names are read by their parent node: when the
 function of an application, the body of a `!`, `unbox` or `unroll`, or
 the scrutinee of a `let !`, `let*`, `mcase`, `case` or `split` is a
-bound name, or an application's argument is the bang of one, the node
-reads the frame slot itself and compiles no closure for the operand,
-which saves a Python call per name read (the dispatches a superoperator
-saves, Proebsting 1995). Every name read, inline or in the closure of
-`_compile_name`, is charged by the same two statements: one step for a
-one-node value, two for a banged leaf and `_lookup_steps` for the rest;
-then, in checked mode, a bare function value's table is checked, after
-its step is charged. A node charges its own step first and its
-operand's next, as when the operand was a closure, and every charge is
-added before anything raises, so the counters at a failure are those of
-the substitution rules too.
+bound name, the node reads the frame slot itself and compiles no
+closure for the operand, which saves a Python call per name read (the
+dispatches a superoperator saves, Proebsting 1995). Every name read,
+inline or in the closure of `_compile_name`, is charged by the same two
+statements: one step for a one-node value, two for a banged leaf and
+`_lookup_steps` for the rest; then, in checked mode, a bare function
+value's table is checked, after its step is charged. A node charges its
+own step first and its operand's next, as when the operand was a
+closure, and every charge is added before anything raises, so the
+counters at a failure are those of the substitution rules too.
 """
 
 from __future__ import annotations
@@ -315,17 +314,13 @@ def _compile_name(name: str, slot: "int | None", kind: str):
     return ev
 
 
-def _operand(t: Term, vs: dict, rs: dict, unit: _Unit, banged: bool = False):
+def _operand(t: Term, vs: dict, rs: dict, unit: _Unit):
     """Compile the operand `t` of a node: (None, slot) if `t` is a bound
-    name, or with `banged` the bang of one, which the node reads from its
-    frame slot and charges itself by the statements in `_compile_name`;
-    else (t's closure, None)."""
-    name = t
-    if banged:
-        name = t.body if type(t) is Bang else None
-    tp = type(name)
+    name, which the node reads from its frame slot and charges itself
+    by the statement in `_compile_name`; else (t's closure, None)."""
+    tp = type(t)
     if tp is Var or tp is Res:
-        slot = (vs if tp is Var else rs).get(name.name)
+        slot = (vs if tp is Var else rs).get(t.name)
         if slot is not None:
             return None, slot
     return _compile_term(t, vs, rs, unit), None
@@ -333,7 +328,7 @@ def _operand(t: Term, vs: dict, rs: dict, unit: _Unit, banged: bool = False):
 
 def _term_apply(t: Apply, vs, rs, unit):
     fn_c, fn_slot = _operand(t.fn, vs, rs, unit)
-    arg_c, arg_slot = _operand(t.arg, vs, rs, unit, banged=True)
+    arg_c = _compile_term(t.arg, vs, rs, unit)
 
     def ev(fr, cfg, store):
         stats = cfg.stats
@@ -355,18 +350,7 @@ def _term_apply(t: Apply, vs, rs, unit):
             key = id(fn)
         else:
             raise Stuck("application of a non-function value")
-        if arg_c is None:  # the bang of a name
-            stats.steps += 1
-            v = fr[arg_slot]
-            tp = type(v)
-            stats.steps += (1 if tp in _ATOMS else
-                            2 if tp is Bang and type(v.body) in _LEAVES else
-                            _lookup_steps(store, v, cfg))
-            if tp is MFunVal and cfg.checked:
-                _check_loc(store, v.loc)
-            arg = Bang(v)
-        else:
-            arg = arg_c(fr, cfg, store)
+        arg = arg_c(fr, cfg, store)
         cfg.depth += 1
         if cfg.depth > cfg.depth_limit:
             raise DepthExceeded(f"application depth exceeded {cfg.depth_limit}")
