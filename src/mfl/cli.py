@@ -76,7 +76,7 @@ def cmd_run(args) -> int:
     seed = _resolve_seed(args)
     if args.semantics == "pure":
         result = run_program_pure(program)
-        print(print_value(result.value, result.state.boxes))
+        print(print_value(result.value, result.store.boxes))
         stats = result.stats
     else:
         cfg = EvalConfig(mode="cold" if args.cold else "normal", checked=args.checked)

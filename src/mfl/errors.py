@@ -40,7 +40,7 @@ class MflTypeError(MflError):
 
 
 class MflRuntimeError(MflError):
-    """A fault raised while evaluating a program."""
+    """An error raised while evaluating a program."""
 
 
 class Stuck(MflRuntimeError):

@@ -50,7 +50,9 @@ occurrence counts the steps its bound value would take to re-evaluate,
 one per node of the value (see `_lookup_steps`). A closed value written
 in the program (a substituted declaration, say) costs its node count.
 `mt_lookup`, `mt_insert` and `subst` are called through this module's
-globals, so they can be intercepted here.
+globals, so they can be intercepted here: perfbench's tracer times them,
+and the differential tests' mutants (`tests/support.py`) replace
+`mt_insert` to drop inserts or to insert under a wrong key.
 
 Most operands that are names are read by their parent node: when the
 function of an application, the body of a `!`, `unbox` or `unroll`, or
@@ -72,8 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from .errors import (DepthExceeded, DivisionByZero, InternalInvariantError,
-                     PrefixViolation, Stuck)
+from .errors import DepthExceeded, DivisionByZero, InternalInvariantError, Stuck
 from .memostore import INL_EVENT, INR_EVENT, KIND_BANG, Store, index_of, mt_insert, mt_lookup
 from .stats import EvalStats
 from .syntax import (
@@ -95,27 +96,23 @@ class EvalConfig:
     result, modelling the worst case where nothing is reusable. `pure`
     mode is the reference semantics: no tables, no branches. `checked`
     turns on the run-time invariant assertions (duplicate branch
-    detection and resource-freeness of return bodies). `fault`
-    optionally mutilates the insert path for the differential harness:
-    "skip_insert" drops inserts, "wrong_branch" inserts at a perturbed
-    key. `reuse` and `pure` are `mode` as the flags the evaluator reads.
+    detection and resource-freeness of return bodies). `reuse` and
+    `pure` are `mode` as the flags the evaluator reads; `depth` is the
+    run's current application depth.
     """
 
     mode: str = "normal"  # "normal" | "cold" | "pure"
     checked: bool = False
     depth_limit: int = 10 ** 6
     trace: bool = False
-    fault: "str | None" = None
     stats: EvalStats = field(default_factory=EvalStats)
-    depth: int = 0
+    depth: int = field(default=0, init=False)
     reuse: bool = field(init=False)
     pure: bool = field(init=False)
 
     def __post_init__(self):
         if self.mode not in ("normal", "cold", "pure"):
             raise ValueError(f"unknown evaluation mode {self.mode!r}")
-        if self.fault not in (None, "skip_insert", "wrong_branch"):
-            raise ValueError(f"unknown fault {self.fault!r}")
         self.reuse = self.mode == "normal"
         self.pure = self.mode == "pure"
         if self.trace and self.stats.events is None:
@@ -154,16 +151,6 @@ def _apply_primop(op: str, args: "list[Term]") -> Term:
     if int_op is None:
         raise Stuck(f"unknown operator '{op}'")
     return IntLit(int_op(a, b))
-
-
-def _perturb(branch: "list[tuple[int, int]]") -> "tuple[tuple[int, int], ...]":
-    """A deliberately wrong key near `branch`, for fault injection: the
-    last event is toggled so the bad entry can shadow a real branch."""
-    if not branch:
-        return (INL_EVENT,)
-    kind, payload = branch[-1]
-    last = (KIND_BANG, payload + 1) if kind == KIND_BANG else (kind, 1 - payload)
-    return tuple(branch[:-1]) + (last,)
 
 
 def _check_loc(store: Store, loc: int) -> None:
@@ -656,17 +643,8 @@ def _expr_return(e: Return, vs, rs, unit):
         # the table object may have grown while the body ran; bind the
         # branch in the *post-evaluation* table
         table = store.tables[loc]
-        if cfg.fault is not None:  # a mutant; "skip_insert" stores nothing
-            if cfg.fault == "wrong_branch":
-                try:
-                    mt_insert(table, _perturb(branch), v, stats, on_dup="keep")
-                except PrefixViolation:
-                    pass  # the mutant only poisons values, not the tree shape
-        elif not cfg.reuse:  # cold
-            mt_insert(table, branch, v, stats, on_dup="keep")
-        else:
-            mt_insert(table, branch, v, stats,
-                      on_dup="error" if cfg.checked else "keep")
+        mt_insert(table, branch, v, stats,
+                  on_dup="error" if cfg.checked and cfg.reuse else "keep")
         stats.returns += 1
         return v
     return ex

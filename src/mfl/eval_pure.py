@@ -4,9 +4,12 @@ The pure semantics is the memoizing one with the store deleted: a
 function evaluates to itself (no location), a `return` always evaluates
 its body, and no branch is recorded. Boxes still allocate tags, since
 `keyof` makes them observable. It is a policy of the one compiled
-evaluator, `EvalConfig(mode="pure")` in `eval_memo`. `diff_check`
+evaluator, `EvalConfig(mode="pure")` in `eval_memo`, and
+`run_program_pure` returns `eval_memo`'s `RunResult`. `diff_check`
 compiles a program once, runs it under the memo policy and then the
-pure one, and compares the outcomes.
+pure one, and compares the outcomes. The tests that show `diff_check`
+notices a broken memo store plant their mutants from outside, through
+`eval_memo.mt_insert`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MflRuntimeError
-from .eval_memo import EvalConfig, compile_program, eval_term, run_program
+from .eval_memo import EvalConfig, RunResult, compile_program, eval_term, run_program
 from .memostore import Store
 from .stats import EvalStats
 from .syntax import BoxVal, Program, Term, erase, term_eq
@@ -29,20 +32,11 @@ def eval_pure_term(t: Term, state: "Store | None" = None) -> Term:
     return eval_term(Store() if state is None else state, t, EvalConfig(mode="pure"))[0]
 
 
-@dataclass(slots=True)
-class PureRunResult:
-    value: Term
-    state: Store  # its `boxes` is the run's box registry
-    decl_values: "dict[str, Term]"
-    stats: EvalStats
-
-
 def run_program_pure(program: Program, state: "Store | None" = None,
-                     cfg: "EvalConfig | None" = None, compiled=None) -> PureRunResult:
+                     cfg: "EvalConfig | None" = None, compiled=None) -> RunResult:
     """Run `program` under the pure semantics. `cfg`, if given, must be
     in pure mode; `compiled` is `compile_program(program)`, if known."""
-    r = run_program(program, cfg or EvalConfig(mode="pure"), state, compiled)
-    return PureRunResult(r.value, r.store, r.decl_values, r.stats)
+    return run_program(program, cfg or EvalConfig(mode="pure"), state, compiled)
 
 
 def values_agree(memo_value: Term, memo_boxes: "dict[int, Term]",
@@ -86,14 +80,13 @@ def _attempt(run, *args, **kwargs):
 
 
 def diff_check(program: Program, *, checked: bool = True,
-               fault: "str | None" = None,
                depth_limit: int = 10 ** 6) -> Verdict:
     """Run the memoizing and the pure semantics on a program that has
     already passed `check_program`, and compare outcomes. A mismatch is a
-    verdict, not an error; both runs faulting alike (say, div by zero)
-    agree too."""
+    verdict, not an error; both runs failing with the same error (say,
+    div by zero) agree too."""
     compiled = compile_program(program)
-    cfg = EvalConfig(checked=checked, fault=fault, depth_limit=depth_limit)
+    cfg = EvalConfig(checked=checked, depth_limit=depth_limit)
     pure_cfg = EvalConfig(mode="pure", depth_limit=depth_limit)
     memo, memo_err = _attempt(run_program, program, cfg, compiled=compiled)
     pure, pure_err = _attempt(run_program_pure, program, cfg=pure_cfg, compiled=compiled)
@@ -104,6 +97,6 @@ def diff_check(program: Program, *, checked: bool = True,
                        f"memoized: {memo_err or 'value'}, pure: {pure_err or 'value'}",
                        memo_stats=cfg.stats, pure_stats=pure_cfg.stats)
     erased = erase(memo.value)
-    ok = values_agree(erased, memo.store.boxes, pure.value, pure.state.boxes)
+    ok = values_agree(erased, memo.store.boxes, pure.value, pure.store.boxes)
     return Verdict(ok, "outcomes agree" if ok else "memoized and pure outcomes differ",
                    erased, pure.value, cfg.stats, pure_cfg.stats)

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 import pytest
 
 from oracles import fib_call_tree
+from support import mutant
 from test_typecheck import NEGATIVE_PROGRAMS
 from mfl.bench import overhead_ratio, quicksort_rows
 from mfl.corpus import CORPUS_NAMES, load
@@ -150,10 +151,11 @@ def test_criterion_6_invariants_and_mutants():
                     assert tuple(logged[-len(branch):]) == branch
                     del logged[-len(branch):]
         # fault mutants: dropping inserts is benign, wrong keys are caught
-        for name in CORPUS_NAMES:
-            assert diff_check(load(name), checked=False, fault="skip_insert").ok
-        assert not diff_check(load("fib"), checked=False,
-                              fault="wrong_branch").ok
+        with mutant("skip_insert"):
+            for name in CORPUS_NAMES:
+                assert diff_check(load(name), checked=False).ok
+        with mutant("wrong_branch"):
+            assert not diff_check(load("fib"), checked=False).ok
 
 
 def test_criterion_7_typechecker_gate():

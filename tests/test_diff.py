@@ -1,9 +1,12 @@
+from support import mutant, program_nodes
 import mfl.eval_memo as eval_memo
 from mfl.corpus import CORPUS_NAMES, load
+from mfl.eval_memo import EvalConfig, run_program
 from mfl.eval_pure import diff_check, values_agree
 from mfl.gen import gen_program
+from mfl.memostore import mt_insert
 from mfl.parser import parse
-from mfl.syntax import BoxVal, Expr, IntLit, MFun, Pair, Term, UnitLit, node_fields
+from mfl.syntax import BoxVal, IntLit, MFun, Pair, UnitLit
 
 import pytest
 
@@ -22,20 +25,13 @@ def test_generated_programs_diff_ok():
 
 def test_skip_insert_fault_is_benign():
     # dropping inserts only disables reuse; outcomes stay equal
-    for name in CORPUS_NAMES:
-        verdict = diff_check(load(name), checked=False, fault="skip_insert")
-        assert verdict.ok, (name, verdict.detail)
-    for seed in range(40):
-        verdict = diff_check(gen_program(seed), checked=False, fault="skip_insert")
-        assert verdict.ok, (seed, verdict.detail)
-
-
-def test_unknown_fault_is_rejected():
-    # a misspelt mutant must not silently run the unmutated semantics
-    with pytest.raises(ValueError):
-        eval_memo.EvalConfig(fault="skip-insert")
-    with pytest.raises(ValueError):
-        diff_check(load("fib"), checked=False, fault="skip-insert")
+    with mutant("skip_insert"):
+        for name in CORPUS_NAMES:
+            verdict = diff_check(load(name), checked=False)
+            assert verdict.ok, (name, verdict.detail)
+        for seed in range(40):
+            verdict = diff_check(gen_program(seed), checked=False)
+            assert verdict.ok, (seed, verdict.detail)
 
 
 def test_wrong_branch_fault_is_caught():
@@ -43,21 +39,44 @@ def test_wrong_branch_fault_is_caught():
     # a poisoned table can even make a traversal diverge, so cap the
     # depth and let that surface as a one-sided fault (also a mismatch)
     mismatches = 0
-    for name in CORPUS_NAMES:
-        if not diff_check(load(name), checked=False, fault="wrong_branch",
-                          depth_limit=500).ok:
-            mismatches += 1
-    for seed in range(120):
-        program = gen_program(seed)
-        if not diff_check(program, checked=False, fault="wrong_branch",
-                          depth_limit=500).ok:
-            mismatches += 1
+    with mutant("wrong_branch"):
+        for name in CORPUS_NAMES:
+            if not diff_check(load(name), checked=False, depth_limit=500).ok:
+                mismatches += 1
+        for seed in range(120):
+            program = gen_program(seed)
+            if not diff_check(program, checked=False, depth_limit=500).ok:
+                mismatches += 1
     assert mismatches >= 1
 
 
 def test_wrong_branch_fault_caught_on_fib_specifically():
-    verdict = diff_check(load("fib"), checked=False, fault="wrong_branch")
+    with mutant("wrong_branch"):
+        verdict = diff_check(load("fib"), checked=False)
     assert not verdict.ok
+
+
+def _stored_keys(store) -> set:
+    return {key for table in store.tables.values() for key, _ in table.items()}
+
+
+def test_mutants_reach_the_insert_path():
+    # the mutants work only while every `return` inserts through the
+    # module global `eval_memo.mt_insert` as it is when the program is
+    # compiled; if the call were bound at import (a default argument of
+    # a compiler function, an alias), "skip_insert is benign" would pass
+    # without mutating anything
+    real = run_program(load("fib"), EvalConfig())
+    assert real.stats.memo_hits > 0 and any(map(len, real.store.tables.values()))
+    with mutant("skip_insert"):
+        skipped = run_program(load("fib"), EvalConfig())
+    assert skipped.store.tables
+    assert all(len(table) == 0 for table in skipped.store.tables.values())
+    assert skipped.stats.memo_hits == 0
+    with mutant("wrong_branch"):
+        wrong = run_program(load("fib"), EvalConfig())
+    assert _stored_keys(wrong.store) - _stored_keys(real.store)
+    assert eval_memo.mt_insert is mt_insert  # restored on exit
 
 
 def test_box_sharing_increase_is_accepted():
@@ -100,21 +119,6 @@ def test_mismatched_values_reported():
     assert not values_agree(IntLit(1), {}, IntLit(2), {})
 
 
-def _mfun_sites(program) -> list:
-    """Every `mfun` node of `program`."""
-    stack, sites = [term for _, term in program.decls] + [program.main], []
-    while stack:
-        node = stack.pop()
-        if type(node) is MFun:
-            sites.append(node)
-        for name in node_fields(type(node)):
-            value = getattr(node, name)
-            for child in value if type(value) is tuple else (value,):
-                if isinstance(child, (Term, Expr)):
-                    stack.append(child)
-    return sites
-
-
 def test_diff_check_compiles_each_site_once(monkeypatch):
     # one compiled program serves both runs, and an mfun body compiles
     # on its site's first allocation: once per site, not per run or value
@@ -127,6 +131,6 @@ def test_diff_check_compiles_each_site_once(monkeypatch):
     monkeypatch.setattr(eval_memo, "_compile_body", counted)
     program = load("knapsack")
     assert diff_check(program).ok
-    sites = _mfun_sites(program)
+    sites = [node for node in program_nodes(program) if type(node) is MFun]
     assert len(sites) == 6  # knapsack evaluates every one of its sites
     assert sorted(map(id, compiled)) == sorted(map(id, sites))

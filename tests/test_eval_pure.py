@@ -27,7 +27,7 @@ def test_pure_identity():
 
 def test_pure_quicksort_matches_host_sort():
     result = run_program_pure(load("quicksort"))
-    assert decode_int_list(result.value, result.state.boxes) == sorted([3, 1, 2])
+    assert decode_int_list(result.value, result.store.boxes) == sorted([3, 1, 2])
 
 
 def test_pure_function_value_is_itself():
@@ -62,7 +62,7 @@ def test_cold_mode_equals_pure_exactly():
         assert cfg.stats.steps == pure.stats.steps, name
         tag_map = {}
         assert values_agree(erase(memo.value), memo.store.boxes,
-                            pure.value, pure.state.boxes, tag_map), name
+                            pure.value, pure.store.boxes, tag_map), name
         assert all(k == v for k, v in tag_map.items()), name
     for seed in range(40):
         program = gen_program(seed)
@@ -71,4 +71,4 @@ def test_cold_mode_equals_pure_exactly():
         pure = run_program_pure(program)
         assert cfg.stats.steps == pure.stats.steps, seed
         assert values_agree(erase(memo.value), memo.store.boxes,
-                            pure.value, pure.state.boxes), seed
+                            pure.value, pure.store.boxes), seed

@@ -22,12 +22,12 @@ from pathlib import Path
 
 import pytest
 
+from support import preorder
 from mfl.corpus import CORPUS_NAMES, corpus_source
 from mfl.errors import ParseError
 from mfl.gen import gen_program
 from mfl.parser import parse
 from mfl.pretty import print_program
-from mfl.syntax import Expr, Term, node_fields
 
 GOLDEN = Path(__file__).parent / "golden" / "frontend.json"
 GENERATED = 200
@@ -65,27 +65,14 @@ MALFORMED = (
 )
 
 
-def _preorder(node, out: "list[str]") -> None:
-    out.append(f"{type(node).__name__} {node.pos}")
-    for name in node_fields(type(node)):
-        value = getattr(node, name)
-        if isinstance(value, (Term, Expr)):
-            _preorder(value, out)
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, (Term, Expr)):
-                    _preorder(item, out)
-
-
 def dump(src: str) -> str:
     """`print_program` of the parsed source, then one line per node."""
     program = parse(src)
     out = [print_program(program)]
-    for name, term in program.decls:
-        out.append(f"decl {name}")
-        _preorder(term, out)
-    out.append("main")
-    _preorder(program.main, out)
+    roots = [(f"decl {name}", term) for name, term in program.decls]
+    for label, term in roots + [("main", program.main)]:
+        out.append(label)
+        out += (f"{type(node).__name__} {node.pos}" for node in preorder(term))
     return "\n".join(out)
 
 

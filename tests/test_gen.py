@@ -1,27 +1,9 @@
+from support import program_nodes
 from mfl.gen import GenLimits, gen_program
 from mfl.parser import parse
 from mfl.pretty import print_program
-from mfl.syntax import KeyOf, Program, term_eq
+from mfl.syntax import KeyOf, term_eq
 from mfl.typecheck import check_program
-
-
-def walk_nodes(node):
-    yield node
-    from mfl.syntax import node_fields, Term, Expr
-    for name in node_fields(type(node)):
-        value = getattr(node, name)
-        if isinstance(value, (Term, Expr)):
-            yield from walk_nodes(value)
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, (Term, Expr)):
-                    yield from walk_nodes(item)
-
-
-def program_nodes(program: Program):
-    for _, term in program.decls:
-        yield from walk_nodes(term)
-    yield from walk_nodes(program.main)
 
 
 def test_generated_programs_typecheck():

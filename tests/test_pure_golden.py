@@ -80,7 +80,7 @@ def _run(program: Program) -> dict:
     state, cfg = Store(), EvalConfig(mode="pure")
     try:
         result = call_with_deep_stack(run_program_pure, program, state, cfg)
-        outcome = {"value": print_value(result.value, result.state.boxes)}
+        outcome = {"value": print_value(result.value, result.store.boxes)}
     except MflRuntimeError as exc:
         outcome = {"error": type(exc).__name__, "message": str(exc)}
     return {**outcome, "stats": cfg.stats.as_dict(), "boxes": len(state.boxes)}
