@@ -161,3 +161,100 @@ def test_alloc_box_registry():
     assert b1.tag != b2.tag
     assert store.boxes[b1.tag].value == 1
     assert index_of(b1) == b1.tag
+
+
+def _lookup_probes(table, key):
+    stats = EvalStats()
+    found, _ = mt_lookup(table, key, stats)
+    return found, stats.probes
+
+
+def test_lookup_probe_count_when_leaving_the_trie_at_event_k():
+    # one probe per event walked, the one that leaves the trie included,
+    # plus the final entry check
+    table = MemoTable()
+    stored = branch(*[bang(i) for i in range(6)])
+    mt_insert(table, stored, "v")
+    for k in range(1, 7):
+        key = stored[:k - 1] + [bang(100 + k)] + stored[k:]
+        assert _lookup_probes(table, key) == (False, k + 1)
+
+
+def test_lookup_probe_count_on_an_empty_table():
+    table = MemoTable()
+    assert _lookup_probes(table, []) == (False, 1)
+    for n in (1, 2, 5):
+        assert _lookup_probes(table, branch(*[bang(i) for i in range(n)])) == (False, 2)
+
+
+def test_lookup_probe_count_past_a_stored_shorter_branch():
+    table = MemoTable()
+    mt_insert(table, branch(bang(1), INL_EVENT), "short")
+    # the walk reaches the stored value at event 2 and stops at event 3
+    assert _lookup_probes(table, branch(bang(1), INL_EVENT, bang(3), bang(4))) == (False, 4)
+    table = MemoTable()
+    mt_insert(table, [], "root")
+    assert _lookup_probes(table, branch(bang(0), bang(1))) == (False, 2)
+
+
+def test_lookup_of_a_strict_prefix_is_not_found():
+    table = MemoTable()
+    mt_insert(table, branch(bang(1), INL_EVENT, bang(2)), "deep")
+    assert _lookup_probes(table, []) == (False, 1)
+    assert _lookup_probes(table, branch(bang(1))) == (False, 2)
+    assert _lookup_probes(table, branch(bang(1), INL_EVENT)) == (False, 3)
+    assert _lookup_probes(table, branch(bang(1), INL_EVENT, bang(2))) == (True, 4)
+
+
+def test_insert_probes_and_failed_inserts():
+    table = MemoTable()
+    stats = EvalStats()
+    mt_insert(table, branch(bang(1), INL_EVENT), "v", stats)
+    assert stats.probes == 3
+    # a duplicate is charged its walk; a prefix violation met on the way
+    # is not, and neither failure changes the table
+    with pytest.raises(DuplicateBranch):
+        mt_insert(table, branch(bang(1), INL_EVENT), "w", stats)
+    assert stats.probes == 6
+    mt_insert(table, branch(bang(1), INL_EVENT), "w", stats, on_dup="keep")
+    assert stats.probes == 9
+    with pytest.raises(PrefixViolation):
+        mt_insert(table, branch(bang(1), INL_EVENT, bang(2)), "w", stats)
+    assert stats.probes == 9
+    with pytest.raises(PrefixViolation):
+        mt_insert(table, branch(bang(1)), "w", stats)
+    assert stats.probes == 11
+    assert list(table.items()) == [(((KIND_BANG, 1), INL_EVENT), "v")]
+    assert len(table) == 1
+
+
+def test_items_order_is_key_order_per_level():
+    table = MemoTable()
+    keys = [branch(bang(2), INR_EVENT), branch(bang(1)), branch(INL_EVENT),
+            branch(bang(2), INL_EVENT), branch(bang(2), bang(0), bang(9))]
+    for i, k in enumerate(keys):
+        mt_insert(table, k, i)
+    assert list(table.items()) == [
+        (((KIND_BANG, 1),), 1),
+        (((KIND_BANG, 2), (KIND_BANG, 0), (KIND_BANG, 9)), 4),
+        (((KIND_BANG, 2), INL_EVENT), 3),
+        (((KIND_BANG, 2), INR_EVENT), 0),
+        ((INL_EVENT,), 2),
+    ]
+
+
+def test_items_with_the_empty_branch_stored():
+    table = MemoTable()
+    mt_insert(table, [], "root")
+    assert list(table.items()) == [((), "root")]
+    assert len(table) == 1
+    with pytest.raises(DuplicateBranch):
+        mt_insert(table, [], "again")
+    mt_insert(table, [], "again", on_dup="keep")
+    assert list(table.items()) == [((), "root")]
+    # the empty branch is a strict prefix of every other one
+    table = MemoTable()
+    mt_insert(table, branch(bang(3)), "v")
+    with pytest.raises(PrefixViolation):
+        mt_insert(table, [], "root")
+    assert list(table.items()) == [(((KIND_BANG, 3),), "v")]
