@@ -617,7 +617,8 @@ def _expr_return(e: Return, vs, rs, unit):
             stats.returns += 1
             return v
         loc = fr[0].loc
-        found, cached = mt_lookup(store.tables[loc], branch, stats)
+        table = store.tables[loc]
+        found, cached = mt_lookup(table, branch, stats)
         if found and cfg.reuse:
             stats.memo_hits += 1
             stats.returns += 1
@@ -640,9 +641,6 @@ def _expr_return(e: Return, vs, rs, unit):
         if free and cfg.checked:
             raise InternalInvariantError(f"return body has free resources {free}")
         v = body_c(fr, cfg, store)
-        # the table object may have grown while the body ran; bind the
-        # branch in the *post-evaluation* table
-        table = store.tables[loc]
         mt_insert(table, branch, v, stats,
                   on_dup="error" if cfg.checked and cfg.reuse else "keep")
         stats.returns += 1

@@ -39,20 +39,27 @@ def index_of(v: Term) -> int:
 
 
 class _Node:
-    __slots__ = ("children", "value", "has_value")
+    """An inner level of a memo table: `children` maps the next event to
+    the next level, or, where a stored branch ends, to its value in place.
+    Values are terms, never nodes, so `type(x) is _Node` tells the two
+    apart, and a table needs no node per entry."""
+
+    __slots__ = ("children",)
 
     def __init__(self):
-        self.children: "dict[tuple[int, int], _Node] | None" = None
-        self.value = None
-        self.has_value = False
+        self.children: "dict[tuple[int, int], object]" = {}
+
+
+_MISSING = _Node()  # an absent slot; it is never linked into a table
 
 
 class MemoTable:
     """A tree of hash tables: each level keys on one encoded event.
 
-    Bindings are extension-only. Because every recorded branch ends at a
-    completed function body, no stored branch may be a strict prefix of
-    another; inserts check this.
+    `root` is the first level, or, once the empty branch is stored, that
+    branch's value itself. Bindings are extension-only. Because every
+    recorded branch ends at a completed function body, no stored branch
+    may be a strict prefix of another; inserts check this.
     """
 
     __slots__ = ("root", "entries")
@@ -68,12 +75,13 @@ class MemoTable:
         """All (branch, value) bindings, in key order per level."""
         stack = [((), self.root)]
         while stack:
-            prefix, node = stack.pop()
-            if node.has_value:
-                yield prefix, node.value
-            if node.children:
-                for code in sorted(node.children, reverse=True):
-                    stack.append((prefix + (code,), node.children[code]))
+            prefix, slot = stack.pop()
+            if type(slot) is not _Node:
+                yield prefix, slot
+                continue
+            children = slot.children
+            for code in sorted(children, reverse=True):
+                stack.append((prefix + (code,), children[code]))
 
 
 def mt_lookup(table: MemoTable, branch, stats=None) -> "tuple[bool, object]":
@@ -81,22 +89,20 @@ def mt_lookup(table: MemoTable, branch, stats=None) -> "tuple[bool, object]":
     Costs one probe per event walked plus one for the final entry check.
     """
     node = table.root
-    probes = 0
+    probes = 1  # the final entry check
     for code in branch:
         probes += 1
-        children = node.children
-        if children is None:
-            node = None
+        if type(node) is not _Node:  # walked past a stored shorter branch
+            node = _MISSING
             break
-        node = children.get(code)
-        if node is None:
+        node = node.children.get(code, _MISSING)
+        if node is _MISSING:
             break
-    probes += 1  # final entry check
     if stats is not None:
         stats.probes += probes
-    if node is not None and node.has_value:
-        return True, node.value
-    return False, None
+    if type(node) is _Node:  # absent, or a strict prefix of stored branches
+        return False, None
+    return True, node
 
 
 def mt_insert(table: MemoTable, branch, value, stats=None, on_dup: str = "error") -> None:
@@ -108,34 +114,29 @@ def mt_insert(table: MemoTable, branch, value, stats=None, on_dup: str = "error"
     expected cost model and the first binding is kept.
     """
     node = table.root
-    probes = 0
-    depth = 0
-    n = len(branch)
-    for code in branch:
-        if node.has_value:
+    children = code = None  # the dict and key that hold `node`, below the root
+    for depth, nxt in enumerate(branch):
+        if node is _MISSING:
+            node = children[code] = _Node()
+        elif type(node) is not _Node:
             raise PrefixViolation(
                 f"stored branch {branch[:depth]!r} is a strict prefix of {tuple(branch)!r}")
-        probes += 1
-        depth += 1
-        if node.children is None:
-            node.children = {}
-        nxt = node.children.get(code)
-        if nxt is None:
-            nxt = _Node()
-            node.children[code] = nxt
-        node = nxt
-    probes += 1
+        children = node.children
+        code = nxt
+        node = children.get(code, _MISSING)
     if stats is not None:
-        stats.probes += probes
-    if node.has_value:
+        stats.probes += len(branch) + 1
+    if type(node) is not _Node:
         if on_dup == "keep":
             return
         raise DuplicateBranch(f"branch {tuple(branch)!r} already bound")
     if node.children:
         raise PrefixViolation(
             f"branch {tuple(branch)!r} is a strict prefix of a stored branch")
-    node.value = value
-    node.has_value = True
+    if children is None:
+        table.root = value
+    else:
+        children[code] = value
     table.entries += 1
 
 

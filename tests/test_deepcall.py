@@ -1,9 +1,11 @@
+import gc
 import sys
 import threading
+from contextlib import contextmanager
 
 import pytest
 
-from mfl.deepcall import call_with_deep_stack
+from mfl.deepcall import YOUNG_THRESHOLD, call_with_deep_stack
 from mfl.eval_memo import EvalConfig, run_program
 from mfl.parser import parse
 from mfl.syntax import IntLit, term_eq
@@ -67,3 +69,56 @@ def test_concurrent_callers_each_get_their_own_result():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert results == {k: [(k, i) for i in range(50)] for k in range(6)}
+
+
+
+@contextmanager
+def host_threshold(*threshold):
+    """Set the collector thresholds a host would have set, and put the
+    test process's own back on exit."""
+    saved = gc.get_threshold()
+    gc.set_threshold(*threshold)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*saved)
+
+
+def test_a_job_runs_with_the_young_threshold_raised():
+    with host_threshold(700, 11, 12):
+        assert call_with_deep_stack(gc.get_threshold) == (YOUNG_THRESHOLD, 11, 12)
+        assert gc.get_threshold() == (700, 11, 12)
+
+
+def test_the_callers_thresholds_are_back_after_a_job_raises():
+    def fail():
+        assert gc.get_threshold()[0] == YOUNG_THRESHOLD
+        raise ValueError("job failed")
+
+    with host_threshold(701, 9, 8):
+        with pytest.raises(ValueError):
+            call_with_deep_stack(fail)
+        assert gc.get_threshold() == (701, 9, 8)
+
+
+def test_collection_turned_off_by_the_host_stays_off():
+    with host_threshold(0, 10, 10):
+        assert call_with_deep_stack(gc.get_threshold) == (0, 10, 10)
+        assert gc.get_threshold() == (0, 10, 10)
+
+
+def test_a_larger_host_threshold_is_left_alone():
+    with host_threshold(YOUNG_THRESHOLD * 3, 10, 10):
+        assert call_with_deep_stack(gc.get_threshold) == (YOUNG_THRESHOLD * 3, 10, 10)
+        assert gc.get_threshold() == (YOUNG_THRESHOLD * 3, 10, 10)
+
+
+def test_a_nested_call_keeps_the_outer_jobs_policy():
+    def outer():
+        inner = call_with_deep_stack(gc.get_threshold)
+        return inner, gc.get_threshold()
+
+    with host_threshold(700, 10, 10):
+        inner, after_inner = call_with_deep_stack(outer)
+        assert inner == after_inner == (YOUNG_THRESHOLD, 10, 10)
+        assert gc.get_threshold() == (700, 10, 10)
