@@ -114,15 +114,14 @@ def mt_insert(table: MemoTable, branch, value, stats=None, on_dup: str = "error"
     expected cost model and the first binding is kept.
     """
     node = table.root
-    children = code = None  # the dict and key that hold `node`, below the root
-    for depth, nxt in enumerate(branch):
+    children = key = None  # the dict and key that hold `node`, below the root
+    for depth, code in enumerate(branch):
         if node is _MISSING:
-            node = children[code] = _Node()
+            node = children[key] = _Node()
         elif type(node) is not _Node:
             raise PrefixViolation(
                 f"stored branch {branch[:depth]!r} is a strict prefix of {tuple(branch)!r}")
-        children = node.children
-        code = nxt
+        children, key = node.children, code
         node = children.get(code, _MISSING)
     if stats is not None:
         stats.probes += len(branch) + 1
@@ -136,7 +135,7 @@ def mt_insert(table: MemoTable, branch, value, stats=None, on_dup: str = "error"
     if children is None:
         table.root = value
     else:
-        children[code] = value
+        children[key] = value
     table.entries += 1
 
 
