@@ -21,7 +21,9 @@ collects as much with far fewer scans. Reference counting still frees
 every acyclic object at once, and any cycle is still collected, only
 later. The thresholds are process-wide, so the policy holds for every
 thread while a job runs; the worker restores the caller's exact
-thresholds when the job ends, before the caller resumes. A young
+thresholds when the job ends, before the caller resumes, and collects
+the young generation if the restored threshold would (the collection
+is the job's cost, not the caller's). A young
 threshold of 0 means the host turned automatic collection off, and one
 above YOUNG_THRESHOLD is already large: both are left alone.
 """
@@ -68,6 +70,11 @@ def _serve() -> None:
         finally:
             if raised:
                 gc.set_threshold(young, mid, old)
+                # the restored threshold would collect the job's young
+                # objects at the caller's next allocation; do it here, so
+                # the job pays for its own garbage
+                if gc.isenabled() and gc.get_count()[0] > young:
+                    gc.collect(0)
         job.done.release()
         del job  # an idle worker keeps no finished job, or its result, alive
 

@@ -122,3 +122,35 @@ def test_a_nested_call_keeps_the_outer_jobs_policy():
         inner, after_inner = call_with_deep_stack(outer)
         assert inner == after_inner == (YOUNG_THRESHOLD, 10, 10)
         assert gc.get_threshold() == (700, 10, 10)
+
+
+
+def test_a_job_collects_its_own_young_generation():
+    # the collection the restored threshold calls for runs on the
+    # worker, not at the caller's next allocation; and never when the
+    # host has turned collection off
+    def survivors():
+        return [[] for _ in range(20_000)]
+
+    def on_gc(phase, info):
+        if phase == "start":
+            seen.append(threading.get_ident())
+
+    worker = call_with_deep_stack(threading.get_ident)
+    with host_threshold(700, 10, 10):
+        gc.callbacks.append(on_gc)
+        try:
+            seen: list = []
+            kept = call_with_deep_stack(survivors)
+            collected_on = set(seen)
+            gc.disable()
+            try:
+                seen = []
+                kept = call_with_deep_stack(survivors)
+                assert seen == []
+            finally:
+                gc.enable()
+        finally:
+            gc.callbacks.remove(on_gc)
+    assert collected_on == {worker}
+    assert len(kept) == 20_000
