@@ -21,11 +21,12 @@ collects as much with far fewer scans. Reference counting still frees
 every acyclic object at once, and any cycle is still collected, only
 later. The thresholds are process-wide, so the policy holds for every
 thread while a job runs; the worker restores the caller's exact
-thresholds when the job ends, before the caller resumes, and collects
-the young generation if the restored threshold would (the collection
-is the job's cost, not the caller's). A young
-threshold of 0 means the host turned automatic collection off, and one
-above YOUNG_THRESHOLD is already large: both are left alone.
+thresholds when the job ends, before the caller resumes. If the
+restored threshold calls for a young collection, the worker runs it
+then, so the job pays for its own garbage rather than the caller's
+next allocation. A young threshold of 0 means the host turned
+automatic collection off, and one above YOUNG_THRESHOLD is already
+large: both are left alone.
 """
 
 from __future__ import annotations
@@ -70,9 +71,7 @@ def _serve() -> None:
         finally:
             if raised:
                 gc.set_threshold(young, mid, old)
-                # the restored threshold would collect the job's young
-                # objects at the caller's next allocation; do it here, so
-                # the job pays for its own garbage
+                # else the caller's next allocation would run it
                 if gc.isenabled() and gc.get_count()[0] > young:
                     gc.collect(0)
         job.done.release()
