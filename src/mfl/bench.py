@@ -1,16 +1,10 @@
-"""Cost measurements: constant-overhead and quicksort-rerun experiments.
+"""Cost measurements: the quicksort-rerun experiment of `mfl bench`.
 
 Cost is counted in big-step rule applications plus hash probes
-(`EvalStats.total_work`): the pure semantics never probes, so the
-overhead of memoization on a given program is the ratio of a cold
-memoizing run's work to the pure run's step count. Cold mode pays every
-lookup and insert but reuses nothing, making the two derivation trees
-identical rule for rule.
-
-The quicksort experiment sorts a random permutation, prepends a fresh
-key to the *same* boxed list, sorts again in the same store, and reports
-the second run's work and its hit/miss counts against the sort
-function's own memo table. (The filters and helpers are memoized
+(`EvalStats.total_work`). The experiment sorts a random permutation,
+prepends a fresh key to the *same* boxed list, sorts again in the same
+store, and reports the second run's work and its hit/miss counts
+against the sort function's own memo table. (The filters and helpers are memoized
 functions too, an encoding artifact of a calculus without plain
 functions; their extra hits would drown the signal the experiment is
 about, which is why the count is per-table.)
@@ -25,34 +19,9 @@ from .corpus import decode_int_list, load
 from .deepcall import call_with_deep_stack
 from .errors import MflError
 from .eval_memo import EvalConfig, eval_term, run_program
-from .eval_pure import run_program_pure
 from .memostore import Store
-from .syntax import Apply, Bang, IntLit, Pair, Program, UnitLit, Var
+from .syntax import Apply, Bang, IntLit, Pair, Program, UnitLit
 from .typecheck import check_program
-
-
-def overhead_ratio(program: Program, inputs: "list[int] | None" = None,
-                   fn_name: "str | None" = None) -> "list[float]":
-    """Cold-memoized work over pure steps, one ratio per input.
-
-    With `inputs`, the program's main is replaced by `f (!n)` for each n,
-    where f is `fn_name` or the last declaration. Without `inputs`, the
-    program runs as written and a single ratio is returned.
-    """
-    check_program(program)
-    if inputs is None:
-        variants = [program]
-    else:
-        name = fn_name or program.decls[-1][0]
-        variants = [Program(program.decls, Apply(Var(name), Bang(IntLit(n))))
-                    for n in inputs]
-    ratios = []
-    for variant in variants:
-        cold = EvalConfig(mode="cold")
-        call_with_deep_stack(run_program, variant, cold)
-        pure = call_with_deep_stack(run_program_pure, variant)
-        ratios.append(cold.stats.total_work() / pure.stats.steps)
-    return ratios
 
 
 def _quicksort_trial(program: Program, base_keys: "list[int]", new_key: int) -> dict:

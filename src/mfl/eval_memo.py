@@ -29,11 +29,11 @@ declarations and main as one unit. An `mfun` body is compiled once per
 static site, when the site first allocates a function value, and the
 code is kept in the site's closure; the names the function captures
 become slots of its frame, filled from the enclosing frame whenever a
-value is made. `Store.code` maps each function value (its location, or
-under the pure policy its identity) to its code and captured values;
-an application checks the entry against the value's body by identity
-(a value built outside this store's evaluation is compiled on first
-use).
+value is made. The value carries its code, as a closure carries its
+code and environment (Landin 1964): `code` holds the compiled body and
+the tail of its frame, the captured values and then padding. An
+application runs `fn.code` directly; a function value that no
+evaluation made has no code, and applying it is stuck.
 
 Bindings live in a frame, one list per activation: the compiler gives
 every binder of a body its own slot and resolves each name occurrence
@@ -331,21 +331,18 @@ def _term_apply(t: Apply, vs, rs, unit):
         else:
             fn = fn_c(fr, cfg, store)
             tp = type(fn)
-        if tp is MFunVal:
-            key = fn.loc
-        elif tp is MFun:  # a pure function value
-            key = id(fn)
-        else:
+        if tp is not MFunVal and tp is not MFun:
             raise Stuck("application of a non-function value")
+        code = fn.code
+        if code is None:
+            raise Stuck(f"function value '{fn.fname}' was not made by an evaluation")
+        run, tail = code
         arg = arg_c(fr, cfg, store)
         cfg.depth += 1
         if cfg.depth > cfg.depth_limit:
             raise DepthExceeded(f"application depth exceeded {cfg.depth_limit}")
         try:
-            code = store.code.get(key)
-            if code is None or code[0] is not fn.body:
-                code = _compile_fun(store, key, fn)
-            return code[2]([fn, arg, *code[1]], cfg, store, [])
+            return run([fn, arg, *tail], cfg, store, [])
         finally:
             cfg.depth -= 1
     return ev
@@ -437,22 +434,18 @@ def _term_mfun(t: MFun, vs, rs, unit):
         cfg.stats.steps += 1
         if site is None:
             site = _compile_body(t, vnames, rnames)
-        run, pad = site
-        closed = t
-        captured = ()
+        closed, code = t, site
         if slots:
             captured = tuple([fr[slot] for slot in slots])
             # a value is a closed term: substitute what the body captures
             closed = subst(t, dict(zip(vnames, captured)),
                            dict(zip(rnames, captured[nv:])))
-        code = (closed.body, captured + pad, run)
+            code = (site[0], captured + site[1])
         if cfg.pure:
-            store.code[id(closed)] = code
+            closed.code = code
             return closed
-        fn = MFunVal(store.alloc_table(), t.fname, t.arg, t.arg_type,
-                     t.res_type, closed.body)
-        store.code[fn.loc] = code
-        return fn
+        return MFunVal(store.alloc_table(), t.fname, t.arg, t.arg_type,
+                       t.res_type, closed.body, code=code)
     return ev
 
 
@@ -755,7 +748,7 @@ _EXPR_COMPILERS = {
 }
 
 
-def _compile_body(fn, vnames: tuple = (), rnames: tuple = ()) -> tuple:
+def _compile_body(fn, vnames: tuple, rnames: tuple) -> tuple:
     """Compile the body of the function term `fn`, which captures the
     variables `vnames` and the resources `rnames`. Returns the compiled
     body and its frame padding. The frame holds the function value in
@@ -768,14 +761,6 @@ def _compile_body(fn, vnames: tuple = (), rnames: tuple = ()) -> tuple:
     rs[fn.arg] = 1
     run = _compile_expr(fn.body, vs, rs, unit)
     return run, (None,) * (unit.size - 2 - ncap)
-
-
-def _compile_fun(store: Store, key: int, fn) -> tuple:
-    """Compile the closed function value `fn` and keep its code in
-    `store.code` under `key`: (body, frame padding, compiled body)."""
-    run, pad = _compile_body(fn)
-    code = store.code[key] = (fn.body, pad, run)
-    return code
 
 
 def eval_term(store: Store, t: Term, cfg: "EvalConfig | None" = None):

@@ -144,15 +144,12 @@ class Store:
     """Maps locations to memo tables; also registers boxed values.
 
     A store is confined to one evaluation. Independent evaluations get
-    independent stores and may run concurrently. `code` holds, for each
-    function value made in this store (keyed by its location, or under
-    the pure policy by its identity), its closed body, captured values
-    and compiled code, so they live exactly as long as the store.
+    independent stores and may run concurrently. A function value's code
+    is not kept here: the value carries it (`MFunVal.code`).
     """
 
     tables: "dict[int, MemoTable]" = field(default_factory=dict)
     boxes: "dict[int, Term]" = field(default_factory=dict)
-    code: "dict[int, tuple]" = field(default_factory=dict)
     next_loc: int = 0
     next_tag: int = 0
 

@@ -13,7 +13,7 @@ identity, and source positions never participate in equality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 Pos = "tuple[int, int]"  # (line, col), 1-based; None on synthesized nodes
@@ -254,7 +254,14 @@ class Pair(Term):
 @dataclass(slots=True, eq=False)
 class MFun(Term):
     """Memoized function term; `fname` is the self-reference (a variable),
-    `arg` the parameter (a resource)."""
+    `arg` the parameter (a resource).
+
+    Under the pure policy an `MFun` is also a function value, and the
+    evaluator then sets `code`: the compiled body and the tail of its
+    frame (the captured values, then padding). Like `fvs`, `code` is a
+    cache that structural operations ignore, and a node built by them
+    has none.
+    """
 
     fname: str
     arg: str
@@ -263,6 +270,7 @@ class MFun(Term):
     body: Expr
     pos: Optional[Pos] = None
     fvs: "frozenset[str] | None" = None
+    code: "tuple | None" = field(default=None, repr=False)
 
 
 @dataclass(slots=True, eq=False)
@@ -270,7 +278,10 @@ class MFunVal(Term):
     """Run-time function value bound to the memo table at `loc`.
 
     Never produced by the parser; appears only in evaluator output and
-    intermediate terms.
+    intermediate terms. `body` is closed: what the function captured is
+    substituted into it. `code` is what applications run, as for a pure
+    `MFun`; a value that no evaluation made has none and cannot be
+    applied.
     """
 
     loc: int
@@ -281,6 +292,7 @@ class MFunVal(Term):
     body: Expr
     pos: Optional[Pos] = None
     fvs: "frozenset[str] | None" = None
+    code: "tuple | None" = field(default=None, repr=False)
 
 
 @dataclass(slots=True, eq=False)
@@ -490,13 +502,14 @@ _FIELDS_CACHE: "dict[type, tuple[str, ...]]" = {}
 def node_fields(cls: type) -> "tuple[str, ...]":
     fs = _FIELDS_CACHE.get(cls)
     if fs is None:
-        fs = tuple(f.name for f in fields(cls) if f.name not in ("pos", "fvs"))
+        fs = tuple(f.name for f in fields(cls) if f.name not in ("pos", "fvs", "code"))
         _FIELDS_CACHE[cls] = fs
     return fs
 
 
 def term_eq(a: Node, b: Node, same_box=None) -> bool:
-    """Structural equality of terms/expressions, ignoring positions.
+    """Structural equality of terms/expressions, ignoring positions and
+    the `fvs` and `code` caches.
 
     Types embedded in nodes compare with `type_eq` (alpha-equivalence);
     locations compare literally, and so do box tags unless `same_box`
@@ -509,20 +522,19 @@ def term_eq(a: Node, b: Node, same_box=None) -> bool:
         return False
     if ta is BoxVal and same_box is not None:
         return same_box(a, b)
-    for name in node_fields(ta):
+    for name in _SCALARS[ta]:
         va = getattr(a, name)
         vb = getattr(b, name)
-        if isinstance(va, (Term, Expr)):
-            if not term_eq(va, vb, same_box):
-                return False
-        elif isinstance(va, Type):
-            if not type_eq(va, vb):
-                return False
-        elif isinstance(va, tuple):
+        if not (type_eq(va, vb) if isinstance(va, Type) else va == vb):
+            return False
+    for name, _, _ in SUBTERMS[ta]:
+        va = getattr(a, name)
+        vb = getattr(b, name)
+        if type(va) is tuple:
             if len(va) != len(vb) or not all(term_eq(x, y, same_box)
                                              for x, y in zip(va, vb)):
                 return False
-        elif va != vb:
+        elif not term_eq(va, vb, same_box):
             return False
     return True
 
@@ -530,8 +542,8 @@ def term_eq(a: Node, b: Node, same_box=None) -> bool:
 # Binding structure: every node class with its subterm fields, each paired
 # with the fields naming the variables and the resources bound inside that
 # subterm. It is MFL's scoping stated once; `free_names`, `free_resources`,
-# `subst` and `erase` all traverse by it. `PrimOp.args` is the one field
-# holding a tuple of subterms.
+# `subst`, `erase` and `term_eq` all traverse by it. `PrimOp.args` is the
+# one field holding a tuple of subterms.
 _BODY = (("body", (), ()),)
 _FUN = (("body", ("fname",), ("arg",)),)
 _ARMS = (("scrut", (), ()), ("left_arm", (), ("left_name",)),
@@ -548,6 +560,11 @@ SUBTERMS: "dict[type, tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]]"
     TermCase: _ARMS, MCase: _ARMS, TermSplit: _SPLIT, LetPair: _SPLIT,
     LetBang: (("scrut", (), ()), ("body", ("name",), ())),
 }
+
+# The fields of each node class that hold no subterm: names, operators,
+# locations, tags and types.
+_SCALARS = {t: tuple(f for f in node_fields(t) if f not in {s for s, _, _ in subterms})
+            for t, subterms in SUBTERMS.items()}
 
 
 _EMPTY_FVS: "frozenset[str]" = frozenset()

@@ -1,5 +1,6 @@
 """Helpers shared by the test modules: memo-store mutants for the
-differential tests, and a pre-order walk over syntax trees.
+differential tests, a pre-order walk over syntax trees, and the
+overhead ratio of criterion 3.
 
 A mutant breaks memoization from outside the program under test
 (DeMillo, Lipton & Sayward 1978): `mutant(name)` swaps
@@ -16,9 +17,13 @@ through, for a broken insert, and restores it on exit.
 from contextlib import contextmanager
 
 import mfl.eval_memo as eval_memo
+from mfl.deepcall import call_with_deep_stack
 from mfl.errors import PrefixViolation
+from mfl.eval_memo import EvalConfig, run_program
+from mfl.eval_pure import run_program_pure
 from mfl.memostore import INL_EVENT, KIND_BANG, mt_insert
-from mfl.syntax import SUBTERMS
+from mfl.syntax import SUBTERMS, Apply, Bang, IntLit, Program, Var
+from mfl.typecheck import check_program
 
 
 def _perturb(branch: "list[tuple[int, int]]") -> "tuple[tuple[int, int], ...]":
@@ -77,3 +82,33 @@ def program_nodes(program):
     for _, term in program.decls:
         yield from preorder(term)
     yield from preorder(program.main)
+
+
+def overhead_ratio(program: Program, inputs: "list[int] | None" = None,
+                   fn_name: "str | None" = None) -> "list[float]":
+    """Cold-memoized work over pure steps, one ratio per input.
+
+    Cost is counted in big-step rule applications plus hash probes
+    (`EvalStats.total_work`); the pure semantics never probes. Cold mode
+    pays every lookup and insert but reuses nothing, making the two
+    derivation trees identical rule for rule, so the ratio is the
+    constant overhead of memoization.
+
+    With `inputs`, the program's main is replaced by `f (!n)` for each n,
+    where f is `fn_name` or the last declaration. Without `inputs`, the
+    program runs as written and a single ratio is returned.
+    """
+    check_program(program)
+    if inputs is None:
+        variants = [program]
+    else:
+        name = fn_name or program.decls[-1][0]
+        variants = [Program(program.decls, Apply(Var(name), Bang(IntLit(n))))
+                    for n in inputs]
+    ratios = []
+    for variant in variants:
+        cold = EvalConfig(mode="cold")
+        call_with_deep_stack(run_program, variant, cold)
+        pure = call_with_deep_stack(run_program_pure, variant)
+        ratios.append(cold.stats.total_work() / pure.stats.steps)
+    return ratios

@@ -9,9 +9,9 @@ from contextlib import contextmanager
 import pytest
 
 from oracles import fib_call_tree
-from support import mutant
+from support import mutant, overhead_ratio
 from test_typecheck import NEGATIVE_PROGRAMS
-from mfl.bench import overhead_ratio, quicksort_rows
+from mfl.bench import quicksort_rows
 from mfl.corpus import CORPUS_NAMES, load
 from mfl.errors import MflTypeError
 from mfl.eval_memo import EvalConfig, eval_term, run_program

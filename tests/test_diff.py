@@ -1,12 +1,12 @@
 from support import mutant, program_nodes
 import mfl.eval_memo as eval_memo
-from mfl.corpus import CORPUS_NAMES, load
-from mfl.eval_memo import EvalConfig, run_program
+from mfl.corpus import CORPUS_NAMES, decode_int_list, load
+from mfl.eval_memo import EvalConfig, eval_term, run_program
 from mfl.eval_pure import diff_check, values_agree
 from mfl.gen import gen_program
-from mfl.memostore import mt_insert
+from mfl.memostore import Store, mt_insert
 from mfl.parser import parse
-from mfl.syntax import BoxVal, IntLit, MFun, Pair, UnitLit
+from mfl.syntax import Apply, Bang, BoxVal, IntLit, MFun, Pair, Program, UnitLit
 
 import pytest
 
@@ -119,9 +119,9 @@ def test_mismatched_values_reported():
     assert not values_agree(IntLit(1), {}, IntLit(2), {})
 
 
-def test_diff_check_compiles_each_site_once(monkeypatch):
-    # one compiled program serves both runs, and an mfun body compiles
-    # on its site's first allocation: once per site, not per run or value
+@pytest.fixture
+def compiled_bodies(monkeypatch):
+    """The function terms whose bodies `_compile_body` compiles, in order."""
     compiled, real = [], eval_memo._compile_body
 
     def counted(fn, *captured):
@@ -129,8 +129,40 @@ def test_diff_check_compiles_each_site_once(monkeypatch):
         return real(fn, *captured)
 
     monkeypatch.setattr(eval_memo, "_compile_body", counted)
+    return compiled
+
+
+def _sites(program):
+    return [node for node in program_nodes(program) if type(node) is MFun]
+
+
+def test_diff_check_compiles_each_site_once(compiled_bodies):
+    # one compiled program serves both runs, and an mfun body compiles
+    # on its site's first allocation: once per site, not per run or value
     program = load("knapsack")
     assert diff_check(program).ok
-    sites = [node for node in program_nodes(program) if type(node) is MFun]
+    sites = _sites(program)
     assert len(sites) == 6  # knapsack evaluates every one of its sites
-    assert sorted(map(id, compiled)) == sorted(map(id, sites))
+    assert sorted(map(id, compiled_bodies)) == sorted(map(id, sites))
+
+
+def test_eval_term_applications_compile_nothing(compiled_bodies):
+    # the incremental quicksort's path: the declarations run once, then
+    # later eval_term calls on the same store apply the declared values,
+    # which carry their code; only the sites compiled
+    program = load("quicksort")
+    cfg, store = EvalConfig(checked=True), Store()
+    decls = run_program(Program(program.decls, UnitLit()), cfg, store).decl_values
+    assert sorted(map(id, compiled_bodies)) == sorted(map(id, _sites(program)))
+    compiled_bodies.clear()
+    hcons, mqs = decls["hcons"], decls["mqs"]
+
+    def cons(key, tail):
+        return eval_term(store, Apply(hcons, Pair(Bang(IntLit(key)), Bang(tail))), cfg)[0]
+
+    lst = cons(3, cons(1, cons(2, decls["empty"])))
+    for keys in ([1, 2, 3], [0, 1, 2, 3]):
+        out = eval_term(store, Apply(mqs, Bang(lst)), cfg)[0]
+        assert decode_int_list(out, store.boxes) == keys
+        lst = cons(0, lst)
+    assert compiled_bodies == []

@@ -7,8 +7,8 @@ from mfl.eval_memo import EvalConfig, eval_expr, eval_term, run_program
 from mfl.memostore import Store
 from mfl.parser import parse, parse_expr, parse_term
 from mfl.syntax import (
-    Apply, Bang, IntLit, LetPair, MFunVal, Pair, Program, Res, Return, Var,
-    erase, term_eq,
+    INT, Apply, Bang, IntLit, LetPair, MFunVal, Pair, Program, Res, Return,
+    Var, erase, term_eq,
 )
 
 IDENTITY_SRC = "mfun f (a : !int) : int is let !x = a in return x end end"
@@ -302,6 +302,26 @@ def test_stuck_on_free_variable():
 def test_stuck_on_applying_non_function():
     with pytest.raises(Stuck):
         eval_term(Store(), Apply(IntLit(1), IntLit(2)), fresh())
+
+
+@pytest.mark.parametrize("allocated", [False, True])
+def test_stuck_on_applying_function_value_no_evaluation_made(allocated):
+    # a hand-built function value has no code: applying it is stuck where
+    # a non-function is, after the function's step and before the argument
+    # (which would be stuck differently) is evaluated
+    store = Store()
+    loc = store.alloc_table() if allocated else 0
+    term = Apply(MFunVal(loc, "f", "a", INT, INT, Return(IntLit(1))), Var("loose"))
+    cfg = fresh(checked=False)
+    with pytest.raises(Stuck, match="not made by an evaluation"):
+        eval_term(store, term, cfg)
+    assert cfg.stats.steps == 2  # the application and the function value
+    if allocated:
+        with pytest.raises(Stuck, match="not made by an evaluation"):
+            eval_term(store, term, fresh())
+    else:  # checked mode finds the unallocated location first
+        with pytest.raises(InternalInvariantError):
+            eval_term(store, term, fresh())
 
 
 def test_depth_guard():

@@ -1,6 +1,7 @@
 import pytest
 
-from mfl.bench import overhead_ratio, quicksort_rows
+from support import overhead_ratio
+from mfl.bench import quicksort_rows
 from mfl.corpus import CORPUS_NAMES, load
 from mfl.eval_memo import EvalConfig, run_program
 from mfl.gen import gen_program

@@ -1,15 +1,20 @@
+from dataclasses import fields, replace
+
 from hypothesis import given, settings, strategies as st
 
 from mfl.corpus import CORPUS_NAMES, load
 from mfl.errors import MflRuntimeError
-from mfl.eval_memo import EvalConfig, run_program
+from mfl.eval_memo import EvalConfig, eval_term, run_program
+from mfl.eval_pure import values_agree
 from mfl.gen import GenLimits, gen_program
+from mfl.memostore import Store
 from mfl.parser import parse, parse_expr, parse_term
 from mfl.syntax import (
-    SUBTERMS, Bang, Expr, INT, IntLit, LetPair, MFun, MFunVal, Pair, Res,
-    Return, TBang, TBox, TProd, TRec, TSum, TUnit, TVar, Term, UNIT, UnitLit,
-    Var, erase, free_names, free_resources, node_fields, subst, term_eq,
-    type_eq,
+    SUBTERMS, Apply, Bang, Box, BoxVal, Expr, INT, Inl, Inr, IntLit, KeyOf,
+    LetBang, LetPair, MCase, MFun, MFunVal, Pair, PrimOp, Res, Return, Roll,
+    TBang, TBox, TProd, TRec, TSum, TUnit, TVar, Term, TermCase, TermSplit,
+    Type, UNIT, Unbox, UnitLit, Unroll, Var, erase, free_names,
+    free_resources, node_fields, subst, term_eq, type_eq,
 )
 
 
@@ -148,3 +153,68 @@ def test_type_equality_nested_binders():
     swapped = TRec("v", TRec("u", TProd(TVar("u"), TVar("v"))))
     assert type_eq(a, b)
     assert not type_eq(a, swapped)
+
+
+_ROLL_TYPE = TRec("u", TSum(UNIT, TVar("u")))
+_NODE_SAMPLES = [
+    Var("x"), Res("r"), UnitLit(), IntLit(1), BoxVal(0),
+    PrimOp("+", (IntLit(1), Var("x"))),
+    Pair(IntLit(1), IntLit(2)),
+    Apply(Var("f"), IntLit(1)),
+    MFun("f", "a", INT, UNIT, Return(IntLit(1))),
+    MFunVal(0, "f", "a", INT, UNIT, Return(IntLit(1))),
+    Bang(IntLit(1)), Inl(IntLit(1), INT, UNIT), Inr(IntLit(1), INT, UNIT),
+    Roll(Inl(UnitLit(), UNIT, UNIT), _ROLL_TYPE), Unroll(Var("l")),
+    Box(IntLit(1)), Unbox(Var("b")), KeyOf(Var("b")),
+    TermCase(Var("s"), "l", IntLit(1), "r", IntLit(2)),
+    TermSplit(Var("p"), "l", "r", IntLit(1)),
+    Return(IntLit(1)),
+    LetBang("x", INT, Res("a"), Return(Var("x"))),
+    LetPair("l", INT, "r", UNIT, Res("p"), Return(IntLit(1))),
+    MCase(Res("s"), "l", INT, Return(IntLit(1)), "r", UNIT, Return(IntLit(2))),
+]
+
+
+def _flips(value) -> list:
+    """Values of the same kind as a field's `value`, each different."""
+    if isinstance(value, str):
+        return [value + "'"]
+    if type(value) is int:
+        return [value + 1]
+    if value is None:  # a position or a cache not filled in
+        return [(1, 1), frozenset({"q"}), (None, ())]
+    if isinstance(value, Type):
+        return [TBox(value), None]
+    if isinstance(value, Expr):
+        return [LetBang("z", None, IntLit(0), value)]
+    if isinstance(value, Term):
+        return [Bang(value)]
+    if type(value) is tuple:
+        return [value + (IntLit(3),), value[:-1] + (IntLit(9),)]
+    raise AssertionError(value)
+
+
+def test_term_eq_compares_every_field_but_caches():
+    # each compared field tells two nodes apart; pos, fvs and code never do
+    assert {type(node) for node in _NODE_SAMPLES} == set(SUBTERMS)
+    for node in _NODE_SAMPLES:
+        assert term_eq(node, replace(node)), node
+        for f in fields(node):
+            for flipped in _flips(getattr(node, f.name)):
+                other = replace(node, **{f.name: flipped})
+                ignored = f.name in ("pos", "fvs", "code")
+                assert term_eq(node, other) is ignored, (node, f.name, flipped)
+                assert term_eq(other, node) is ignored, (node, f.name, flipped)
+
+
+def test_pure_function_value_equals_erased_memo_value():
+    # a pure value carries its code, an erased memo value has none
+    src = ("case inl [int + int] 4 of inl r => "
+           "mfun g (b : !int) : int is let !q = b in return r + q end end "
+           "| inr s => mfun g (b : !int) : int is return 0 end end")
+    pure = eval_term(Store(), parse_term(src), EvalConfig(mode="pure"))[0]
+    memo = eval_term(Store(), parse_term(src), EvalConfig())[0]
+    assert type(pure) is MFun and pure.code is not None
+    assert term_eq(pure, erase(memo)) and term_eq(erase(memo), pure)
+    assert values_agree(erase(memo), {}, pure, {})
+    assert term_eq(pure, MFun(pure.fname, pure.arg, pure.arg_type, pure.res_type, pure.body))
