@@ -144,8 +144,7 @@ class Store:
     """Maps locations to memo tables; also registers boxed values.
 
     A store is confined to one evaluation. Independent evaluations get
-    independent stores and may run concurrently. A function value's code
-    is not kept here: the value carries it (`MFunVal.code`).
+    independent stores and may run concurrently.
     """
 
     tables: "dict[int, MemoTable]" = field(default_factory=dict)

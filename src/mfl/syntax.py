@@ -254,14 +254,9 @@ class Pair(Term):
 @dataclass(slots=True, eq=False)
 class MFun(Term):
     """Memoized function term; `fname` is the self-reference (a variable),
-    `arg` the parameter (a resource).
-
-    Under the pure policy an `MFun` is also a function value, and the
-    evaluator then sets `code`: the compiled body and the tail of its
-    frame (the captured values, then padding). Like `fvs`, `code` is a
-    cache that structural operations ignore, and a node built by them
-    has none.
-    """
+    `arg` the parameter (a resource). Under the pure policy it is also a
+    function value, and `code` then holds its compiled body and frame
+    tail; like `fvs`, it is a cache that structural operations ignore."""
 
     fname: str
     arg: str
@@ -278,10 +273,8 @@ class MFunVal(Term):
     """Run-time function value bound to the memo table at `loc`.
 
     Never produced by the parser; appears only in evaluator output and
-    intermediate terms. `body` is closed: what the function captured is
-    substituted into it. `code` is what applications run, as for a pure
-    `MFun`; a value that no evaluation made has none and cannot be
-    applied.
+    intermediate terms. `code` is what an application runs, as for a
+    pure `MFun`; a value that no evaluation made has none.
     """
 
     loc: int
