@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 parse/type/runtime error in the program
 (running out of stack or memory included), 2 differential mismatch, 3
-internal invariant breach, 64 usage error. Each command runs on the
-deep-stack worker, since checking, evaluating and printing all recurse
-with the program.
+internal invariant breach, 64 usage error (a bad option value or
+MFL_SEED, or a named file that cannot be read or written). Each command
+runs on the deep-stack worker, since checking, evaluating and printing
+all recurse with the program.
 All randomness (fuzz cases, benchmark permutations) flows from one
 --seed; without it, MFL_SEED is consulted, then an entropy-derived seed
 is drawn and printed so a run can be reproduced.
@@ -44,12 +45,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _UsageError(Exception):
+    """Bad input from outside the program: an option's value or MFL_SEED."""
+
+
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("MFL_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise _UsageError(f"MFL_SEED must be an integer, not {env!r}") from None
     seed = secrets.randbits(32)
     print(f"seed: {seed}", file=sys.stderr)
     return seed
@@ -102,6 +110,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.count < 0:
+        raise _UsageError(f"--count must not be negative, not {args.count}")
     seed = _resolve_seed(args)
     out_dir = Path(args.out)
     failures = 0
@@ -119,8 +129,14 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    sizes = [s for s in args.sizes.split(",") if s]
+    bad = [s for s in sizes if not s.isdecimal() or int(s) < 1]
+    if bad:
+        raise _UsageError(f"--sizes entries must be positive integers, not {bad[0]!r}")
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, not {args.trials}")
     seed = _resolve_seed(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = [int(s) for s in sizes]
     doc = bench_quicksort(sizes, args.trials, seed)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -221,6 +237,10 @@ def main(argv: "list[str] | None" = None) -> int:
     except MflRuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
+    except (_UsageError, OSError) as exc:
+        # every file a command reads or writes is one the user named
+        print(f"mfl: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -468,24 +468,24 @@ def parse(src: str) -> Program:
     return Parser(src).parse_program()
 
 
+def _parse_bare(src: str, resources: "tuple[str, ...]",
+                variables: "tuple[str, ...]", parse):
+    p = Parser(src)
+    p.kinds.update({n: "res" for n in resources})
+    p.kinds.update({n: "var" for n in variables})
+    tree = parse(p)
+    p.expect("eof", "end of input")
+    return tree
+
+
 def parse_term(src: str, resources: "tuple[str, ...]" = (),
                variables: "tuple[str, ...]" = ()) -> Term:
     """Parse a bare term; handy in tests. Names listed in `resources` /
     `variables` classify accordingly instead of defaulting to variables."""
-    p = Parser(src)
-    p.kinds.update({n: "res" for n in resources})
-    p.kinds.update({n: "var" for n in variables})
-    term = p.parse_term()
-    p.expect("eof", "end of input")
-    return term
+    return _parse_bare(src, resources, variables, Parser.parse_term)
 
 
 def parse_expr(src: str, resources: "tuple[str, ...]" = (),
                variables: "tuple[str, ...]" = ()):
     """Parse a bare expression; handy in tests."""
-    p = Parser(src)
-    p.kinds.update({n: "res" for n in resources})
-    p.kinds.update({n: "var" for n in variables})
-    expr = p.parse_expr()
-    p.expect("eof", "end of input")
-    return expr
+    return _parse_bare(src, resources, variables, Parser.parse_expr)

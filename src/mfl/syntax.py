@@ -458,12 +458,7 @@ class Program:
 
 @dataclass(frozen=True)
 class TypeContext:
-    """Typing contexts: `gamma` for variables, `delta` for resources.
-
-    The two key sets stay disjoint: binding a name on one side removes it
-    from the other, mirroring how the parser classifies occurrences by
-    their innermost binder.
-    """
+    """Typing contexts: `gamma` for variables, `delta` for resources."""
 
     gamma: "dict[str, Type]"
     delta: "dict[str, Type]"
@@ -471,18 +466,6 @@ class TypeContext:
     @staticmethod
     def empty() -> "TypeContext":
         return TypeContext({}, {})
-
-    def bind_var(self, name: str, ty: Type) -> "TypeContext":
-        delta = self.delta
-        if name in delta:
-            delta = {k: v for k, v in delta.items() if k != name}
-        return TypeContext({**self.gamma, name: ty}, delta)
-
-    def bind_res(self, name: str, ty: Type) -> "TypeContext":
-        gamma = self.gamma
-        if name in gamma:
-            gamma = {k: v for k, v in gamma.items() if k != name}
-        return TypeContext(gamma, {**self.delta, name: ty})
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -245,6 +246,26 @@ def test_usage_error_exit_64(capsys):
         cli.main(["definitely-not-a-command"])
     assert exc.value.code == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args, env", [
+    (["run", "/nonexistent.mfl"], {}),
+    (["run", "{tmp}"], {}),
+    (["run", "{fib}", "--seed", "0", "--stats", "{tmp}"], {}),
+    (["bench", "quicksort", "--sizes", "abc", "--seed", "0"], {}),
+    (["bench", "quicksort", "--sizes", "64,0", "--seed", "0"], {}),
+    (["bench", "quicksort", "--sizes", "64", "--trials", "0", "--seed", "0"], {}),
+    (["fuzz", "--count", "-2", "--seed", "0"], {}),
+    (["fuzz", "--count", "1"], {"MFL_SEED": "abc"}),
+], ids=["missing-file", "directory", "unwritable-stats", "sizes-not-int",
+        "sizes-zero", "trials-zero", "count-negative", "seed-env-not-int"])
+def test_bad_outside_input_is_a_one_line_usage_error(corpus_file, tmp_path, args, env):
+    argv = [a.format(tmp=tmp_path, fib=corpus_file("fib")) for a in args]
+    proc = subprocess.run([sys.executable, "-m", "mfl", *argv], capture_output=True,
+                          text=True, env={**os.environ, **env})
+    assert proc.returncode == 64, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("mfl: error: ") and proc.stderr.count("\n") == 1
 
 
 def test_mfl_seed_env_fallback(corpus_file, tmp_path, capsys, monkeypatch):

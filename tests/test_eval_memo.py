@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from oracles import fib, fib_call_tree
@@ -7,8 +9,8 @@ from mfl.eval_memo import EvalConfig, eval_expr, eval_term, run_program
 from mfl.memostore import Store
 from mfl.parser import parse, parse_expr, parse_term
 from mfl.syntax import (
-    INT, Apply, Bang, IntLit, LetPair, MFunVal, Pair, Program, Res, Return,
-    Var, erase, term_eq,
+    INT, Apply, Bang, IntLit, LetPair, MFunVal, Pair, PrimOp, Program, Res,
+    Return, Var, erase, term_eq,
 )
 
 IDENTITY_SRC = "mfun f (a : !int) : int is let !x = a in return x end end"
@@ -322,6 +324,22 @@ def test_stuck_on_applying_function_value_no_evaluation_made(allocated):
     else:  # checked mode finds the unallocated location first
         with pytest.raises(InternalInvariantError):
             eval_term(store, term, fresh())
+
+
+@pytest.mark.parametrize("mode, checked", [("normal", False), ("normal", True),
+                                           ("pure", False)])
+@pytest.mark.parametrize("term, steps", [
+    (PrimOp("+", (IntLit(1),)), 2),
+    (PrimOp("int2sum", (IntLit(1), IntLit(2))), 3),
+    (PrimOp("xor", (IntLit(1), PrimOp("+", (IntLit(2), IntLit(3))))), 5),
+], ids=["plus-one-operand", "int2sum-two-operands", "unknown-operator"])
+def test_stuck_on_primop_with_no_rule(mode, checked, term, steps):
+    # an unknown operator or a wrong operand count is stuck after the
+    # operator's step and its operands' steps, left to right
+    cfg = EvalConfig(mode=mode, checked=checked)
+    with pytest.raises(Stuck, match=re.escape(f"operator '{term.op}' on {len(term.args)}")):
+        eval_term(Store(), term, cfg)
+    assert cfg.stats.steps == steps
 
 
 def test_depth_guard():
