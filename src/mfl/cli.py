@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 parse/type/runtime error in the program
 (running out of stack or memory included), 2 differential mismatch, 3
 internal invariant breach, 64 usage error (a bad option value or
-MFL_SEED, or a named file that cannot be read or written). Each command
+MFL_SEED, or a named file that cannot be read, decoded as UTF-8 or
+written; `run` opens its `--stats` file before the run). Each command
 runs on the deep-stack worker, since checking, evaluating and printing
 all recurse with the program.
 All randomness (fuzz cases, benchmark permutations) flows from one
@@ -14,6 +15,7 @@ is drawn and printed so a run can be reproduced.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import secrets
@@ -65,7 +67,12 @@ def _resolve_seed(args) -> int:
 
 def _load_program(path: str):
     """The parsed program in `path` and its type."""
-    program = parse(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                          f"at offset {exc.start}") from None
+    program = parse(text)
     return program, check_program(program)
 
 
@@ -82,17 +89,21 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     program, _ = _load_program(args.file)
     seed = _resolve_seed(args)
-    if args.semantics == "pure":
-        result = run_program_pure(program)
-        print(print_value(result.value, result.store.boxes))
-        stats = result.stats
-    else:
-        cfg = EvalConfig(mode="cold" if args.cold else "normal", checked=args.checked)
-        result = run_program(program, cfg)
-        print(print_value(erase(result.value), result.store.boxes))
-        stats = cfg.stats
-    if args.stats:
-        Path(args.stats).write_text(_stats_json(stats, seed), encoding="utf-8")
+    # opened before the run, so that a path that cannot be written fails
+    # before anything is printed
+    with (open(args.stats, "w", encoding="utf-8") if args.stats
+          else contextlib.nullcontext()) as stats_file:
+        if args.semantics == "pure":
+            result = run_program_pure(program)
+            print(print_value(result.value, result.store.boxes))
+            stats = result.stats
+        else:
+            cfg = EvalConfig(mode="cold" if args.cold else "normal", checked=args.checked)
+            result = run_program(program, cfg)
+            print(print_value(erase(result.value), result.store.boxes))
+            stats = cfg.stats
+        if stats_file is not None:
+            stats_file.write(_stats_json(stats, seed))
     return EXIT_OK
 
 

@@ -27,13 +27,30 @@ of Feeley & Lapalme 1987), so a node's type is dispatched at compile
 time rather than at every visit. `compile_program` compiles the
 declarations and main as one unit. An `mfun` body is compiled once per
 static site, when the site first allocates a function value, and the
-code is kept in the site's closure; the names the function captures
-become slots of its frame, filled from the enclosing frame whenever a
-value is made. The value carries its code, as a closure carries its
-code and environment (Landin 1964): `code` holds the compiled body and
-the tail of its frame, the captured values and then padding. An
-application runs `fn.code` directly; a function value that no
-evaluation made has no code, and applying it is stuck.
+code is kept in the site's `_Site` cell; the names the function
+captures become slots of its frame, filled from the enclosing frame
+whenever a value is made. The value carries its code, as a closure
+carries its code and environment (Landin 1964): `code` holds the
+site's cell and the tail of its frame, the captured values and then
+padding. An application runs the body its site holds; a function value
+that no evaluation made has no code, and applying it is stuck.
+
+Function bodies have a second tier (Hölzle & Ungar 1994). A site's
+cell counts its activations, and after `HOT_CALLS` of them the body is
+generated as the source of one Python function (`mfl.tier`), with the
+frame's slots as Python locals and every node inlined. From then on,
+runs of the plain policy (`EvalConfig.plain`: normal mode, unchecked,
+untraced) call that function; other policies, top-level terms,
+`eval_term` and `eval_expr` stay on the closures. One test per
+activation selects the tier, and a cold activation pays one counter
+decrement beyond it. Values made before the switch reach the new code,
+since theirs is the cell. Two tiers, not one, because `compile()` costs
+15 to 25 µs per generated line, 0.6 to 1.8 ms per quicksort body
+(Python 3.11), while most programs run few activations: over 200 `perfbench:fuzz:1:<i>`
+programs, a whole `diff_check` made a median of 8 and at most 27, so
+with `HOT_CALLS = 32` none of them leaves the closures. Generated
+factories are cached by their source text, which names no per-run
+value, so a program parsed or compiled afresh reuses the code object.
 
 Bindings live in a frame, one list per activation: the compiler gives
 every binder of a body its own slot and resolves each name occurrence
@@ -92,6 +109,10 @@ from .syntax import (
 _SUM_UNIT_FALSE = Inl(UnitLit(), UNIT, UNIT)
 _SUM_UNIT_TRUE = Inr(UnitLit(), UNIT, UNIT)
 
+# Activations an `mfun` site runs as closures before its body is
+# generated as one Python function (see the module docstring).
+HOT_CALLS = 32
+
 
 @dataclass(slots=True)
 class EvalConfig:
@@ -102,8 +123,9 @@ class EvalConfig:
     mode is the reference semantics: no tables, no branches. `checked`
     turns on the run-time invariant assertions (duplicate branch
     detection and resource-freeness of return bodies). `reuse` and
-    `pure` are `mode` as the flags the evaluator reads; `depth` is the
-    run's current application depth.
+    `pure` are `mode` as the flags the evaluator reads; `plain` is set
+    for the policy the generated tier implements (normal, unchecked,
+    untraced); `depth` is the run's current application depth.
     """
 
     mode: str = "normal"  # "normal" | "cold" | "pure"
@@ -114,12 +136,14 @@ class EvalConfig:
     depth: int = field(default=0, init=False)
     reuse: bool = field(init=False)
     pure: bool = field(init=False)
+    plain: bool = field(init=False)
 
     def __post_init__(self):
         if self.mode not in ("normal", "cold", "pure"):
             raise ValueError(f"unknown evaluation mode {self.mode!r}")
         self.reuse = self.mode == "normal"
         self.pure = self.mode == "pure"
+        self.plain = self.reuse and not self.checked and not self.trace
         if self.trace and self.stats.events is None:
             self.stats.events = []
 
@@ -151,6 +175,18 @@ _LEAVES = frozenset((IntLit, UnitLit, BoxVal))
 _ATOMS = _LEAVES | {MFunVal, MFun}  # values of one node
 
 
+def _not_applicable(fn: Term) -> Stuck:
+    """The error of applying `fn`: a value that is no function, or a
+    function value that no evaluation made."""
+    if type(fn) is not MFunVal and type(fn) is not MFun:
+        return Stuck("application of a non-function value")
+    return Stuck(f"function value '{fn.fname}' was not made by an evaluation")
+
+
+def _too_deep(cfg: "EvalConfig") -> DepthExceeded:
+    return DepthExceeded(f"application depth exceeded {cfg.depth_limit}")
+
+
 def _lookup_steps(store: Store, v: Term, cfg: EvalConfig) -> int:
     """Steps charged for looking up the value `v`: what re-evaluating it
     as a substituted term would cost, one step per `Pair`, `Bang`,
@@ -175,6 +211,15 @@ def _lookup_steps(store: Store, v: Term, cfg: EvalConfig) -> int:
     if tp is MFunVal and cfg.checked:
         _check_loc(store, v.loc)
     return n
+
+
+def _name_steps(store: Store, v: Term, cfg: EvalConfig) -> int:
+    """Steps charged for reading a name bound to `v`. The closures and
+    the generated code inline this on their common paths; the generated
+    code calls it where it charges a read just before a raise."""
+    tp = type(v)
+    return (1 if tp in _ATOMS else 2 if tp is Bang and type(v.body) in _LEAVES
+            else _lookup_steps(store, v, cfg))
 
 
 _VALUE_NODES = frozenset((IntLit, UnitLit, BoxVal, MFunVal, Bang, Inl, Inr, Roll, Pair))
@@ -215,11 +260,12 @@ def _value_size(t: Term, funs: list, before: int = 0) -> "int | None":
 
 
 class _Unit:
-    __slots__ = ("size", "captured")
+    __slots__ = ("size", "captured", "sites")
 
     def __init__(self, size: int, captured: "range" = range(0)):
         self.size = size
         self.captured = captured
+        self.sites: "dict[MFun, _Site]" = {}
 
     def slot(self) -> int:
         self.size += 1
@@ -319,18 +365,19 @@ def _term_apply(t: Apply, vs, rs, unit):
         else:
             fn = fn_c(fr, cfg, store)
             tp = type(fn)
-        if tp is not MFunVal and tp is not MFun:
-            raise Stuck("application of a non-function value")
-        code = fn.code
-        if code is None:
-            raise Stuck(f"function value '{fn.fname}' was not made by an evaluation")
-        run, tail = code
+        if tp is not MFunVal and tp is not MFun or fn.code is None:
+            raise _not_applicable(fn)
+        site, tail = fn.code
         arg = arg_c(fr, cfg, store)
+        if site.left:  # `_activate`, inline: a cold activation makes no extra call
+            site.left -= 1
+            if not site.left:
+                _promote(site)
         cfg.depth += 1
         if cfg.depth > cfg.depth_limit:
-            raise DepthExceeded(f"application depth exceeded {cfg.depth_limit}")
+            raise _too_deep(cfg)
         try:
-            return run([fn, arg, *tail], cfg, store, [])
+            return (site.run if cfg.plain else site.cold)([fn, arg, *tail], cfg, store, [])
         finally:
             cfg.depth -= 1
     return ev
@@ -418,26 +465,11 @@ def _term_mfun(t: MFun, vs, rs, unit):
     vnames = tuple(name for name in vs if name in free)
     rnames = tuple(name for name in rs if name in free)
     slots = tuple(vs[name] for name in vnames) + tuple(rs[name] for name in rnames)
-    nv = len(vnames)
-    site = None  # (body code, frame padding), compiled on first allocation
+    site = unit.sites[t] = _Site(vnames, rnames)
 
     def ev(fr, cfg, store):
-        nonlocal site
         cfg.stats.steps += 1
-        if site is None:
-            site = _compile_body(t, vnames, rnames)
-        closed, code = t, site
-        if slots:
-            captured = tuple([fr[slot] for slot in slots])
-            # a value is a closed term: substitute what the body captures
-            closed = subst(t, dict(zip(vnames, captured)),
-                           dict(zip(rnames, captured[nv:])))
-            code = (site[0], captured + site[1])
-        if cfg.pure:
-            closed.code = code
-            return closed
-        return MFunVal(store.alloc_table(), t.fname, t.arg, t.arg_type,
-                       t.res_type, closed.body, code=code)
+        return site.value(t, tuple([fr[slot] for slot in slots]), cfg, store)
     return ev
 
 
@@ -714,8 +746,9 @@ _EXPR_COMPILERS = {
 def _compile_body(fn, vnames: tuple, rnames: tuple) -> tuple:
     """Compile the body of the function term `fn`, which captures the
     variables `vnames` and the resources `rnames`. Returns the compiled
-    body and its frame padding. The frame holds the function value in
-    slot 0, its argument in slot 1, then the captured values in order."""
+    body, its frame padding and the sites of its `mfun` terms. The
+    frame holds the function value in slot 0, its argument in slot 1,
+    then the captured values in order."""
     ncap = len(vnames) + len(rnames)
     unit = _Unit(2 + ncap, range(2, 2 + ncap))
     vs = {name: 2 + i for i, name in enumerate(vnames)}
@@ -723,7 +756,65 @@ def _compile_body(fn, vnames: tuple, rnames: tuple) -> tuple:
     vs[fn.fname] = 0
     rs[fn.arg] = 1
     run = _compile_expr(fn.body, vs, rs, unit)
-    return run, (None,) * (unit.size - 2 - ncap)
+    return run, (None,) * (unit.size - 2 - ncap), unit.sites
+
+
+class _Site:
+    """An `mfun` site: the variables `vnames` and resources `rnames` its
+    body captures, and the body's code, compiled when the site makes its
+    first value. `cold` is the body as closures, which every policy
+    runs. `run` is what plain runs call: `cold` until the site has had
+    `HOT_CALLS` activations, then the generated function, unless the
+    body cannot be generated. `left` counts the activations down to
+    that switch and then stays 0. `sites` maps the body's own `mfun`
+    terms to their sites. The site keeps the function term's body and
+    names but not the term: a pure value is the term itself, and its
+    code points here, so a reference back would be a cycle that
+    outlives the run."""
+
+    __slots__ = ("vnames", "rnames", "fname", "arg", "body", "cold", "run", "pad",
+                 "sites", "left")
+
+    def __init__(self, vnames: tuple, rnames: tuple):
+        self.vnames, self.rnames = vnames, rnames
+        self.cold = self.run = None
+        self.left = HOT_CALLS + 1
+
+    def value(self, t: MFun, captured: tuple, cfg: EvalConfig, store: Store) -> Term:
+        """The value of the function term `t` made at this site, closing
+        its body over the `captured` values (variables, then resources)."""
+        if self.cold is None:
+            self.cold, self.pad, self.sites = _compile_body(t, self.vnames, self.rnames)
+            self.run = self.cold
+            self.fname, self.arg, self.body = t.fname, t.arg, t.body
+        closed, code = t, (self, self.pad)
+        if captured:
+            # a value is a closed term: substitute what the body captures
+            nv = len(self.vnames)
+            closed = subst(t, dict(zip(self.vnames, captured)),
+                           dict(zip(self.rnames, captured[nv:])))
+            code = (self, captured + self.pad)
+        if cfg.pure:
+            closed.code = code
+            return closed
+        return MFunVal(store.alloc_table(), t.fname, t.arg, t.arg_type,
+                       t.res_type, closed.body, code=code)
+
+
+def _activate(site: _Site) -> None:
+    """Count an activation of `site`, which is still counting, and
+    switch it after the last. Generated code calls this."""
+    site.left -= 1
+    if not site.left:
+        _promote(site)
+
+
+def _promote(site: _Site) -> None:
+    """Switch `site`'s plain runs to its body generated as one Python
+    function, if the body can be generated."""
+    hot = tier.generate(site)
+    if hot is not None:
+        site.run = hot
 
 
 def eval_term(store: Store, t: Term, cfg: "EvalConfig | None" = None):
@@ -795,3 +886,9 @@ def run_program(program: Program, cfg: "EvalConfig | None" = None,
         compiled = compile_program(program)
     value, values = compiled(cfg, store)
     return RunResult(value, store, values, cfg.stats)
+
+
+# Last, because the generator reads this module's names. Importing it
+# with the package, not at the first switch, keeps its compile on the
+# importing thread rather than on the deep-stack worker.
+from . import tier  # noqa: E402

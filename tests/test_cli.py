@@ -252,20 +252,28 @@ def test_usage_error_exit_64(capsys):
     (["run", "/nonexistent.mfl"], {}),
     (["run", "{tmp}"], {}),
     (["run", "{fib}", "--seed", "0", "--stats", "{tmp}"], {}),
+    (["run", "{fib}", "--seed", "0", "--stats", "{tmp}/no/such/dir/s.json"], {}),
+    (["run", "{bad}"], {}),
     (["bench", "quicksort", "--sizes", "abc", "--seed", "0"], {}),
     (["bench", "quicksort", "--sizes", "64,0", "--seed", "0"], {}),
     (["bench", "quicksort", "--sizes", "64", "--trials", "0", "--seed", "0"], {}),
     (["fuzz", "--count", "-2", "--seed", "0"], {}),
     (["fuzz", "--count", "1"], {"MFL_SEED": "abc"}),
-], ids=["missing-file", "directory", "unwritable-stats", "sizes-not-int",
+], ids=["missing-file", "directory", "unwritable-stats", "stats-dir-missing",
+        "not-utf8", "sizes-not-int",
         "sizes-zero", "trials-zero", "count-negative", "seed-env-not-int"])
 def test_bad_outside_input_is_a_one_line_usage_error(corpus_file, tmp_path, args, env):
-    argv = [a.format(tmp=tmp_path, fib=corpus_file("fib")) for a in args]
+    bad = tmp_path / "bad.mfl"
+    bad.write_bytes(b"main \xff\n")
+    argv = [a.format(tmp=tmp_path, fib=corpus_file("fib"), bad=bad) for a in args]
     proc = subprocess.run([sys.executable, "-m", "mfl", *argv], capture_output=True,
                           text=True, env={**os.environ, **env})
     assert proc.returncode == 64, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("mfl: error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""  # nothing ran, or nothing was printed before the error
+    if "{bad}" in args:
+        assert str(bad) in proc.stderr
 
 
 def test_mfl_seed_env_fallback(corpus_file, tmp_path, capsys, monkeypatch):

@@ -26,6 +26,9 @@ from mfl.corpus import CORPUS_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# every case also runs with each site switching to generated code early
+pytestmark = pytest.mark.usefixtures("hot_calls")
+
 RUN_MODES = {
     "normal": [],
     "cold": ["--cold"],

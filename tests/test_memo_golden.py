@@ -38,6 +38,9 @@ from mfl.syntax import Program
 from test_pure_golden import STUCK
 
 GOLDEN = Path(__file__).parent / "golden" / "memo.json"
+
+# every case also runs with each site switching to generated code early
+pytestmark = pytest.mark.usefixtures("hot_calls")
 GENERATED = 300
 MODES = {"normal": {}, "cold": {"mode": "cold"}, "checked": {"checked": True}}
 

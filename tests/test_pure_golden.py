@@ -33,6 +33,9 @@ from mfl.syntax import (INT, IntLit, MFunVal, Pair, Program, Res, Return, Roll,
                         TRec, TVar)
 
 GOLDEN = Path(__file__).parent / "golden" / "pure.json"
+
+# every case also runs with each site switching to generated code early
+pytestmark = pytest.mark.usefixtures("hot_calls")
 GENERATED = 300
 
 _FUN = "mfun f (a : {ty}) : int is {body} end"
