@@ -42,15 +42,16 @@ frame's slots as Python locals and every node inlined. From then on,
 runs of the plain policy (`EvalConfig.plain`: normal mode, unchecked,
 untraced) call that function; other policies, top-level terms,
 `eval_term` and `eval_expr` stay on the closures. One test per
-activation selects the tier, and a cold activation pays one counter
-decrement beyond it. Values made before the switch reach the new code,
-since theirs is the cell. Two tiers, not one, because `compile()` costs
-15 to 25 µs per generated line, 0.6 to 1.8 ms per quicksort body
-(Python 3.11), while most programs run few activations: over 200 `perfbench:fuzz:1:<i>`
-programs, a whole `diff_check` made a median of 8 and at most 27, so
-with `HOT_CALLS = 32` none of them leaves the closures. Generated
-factories are cached by their source text, which names no per-run
-value, so a program parsed or compiled afresh reuses the code object.
+activation selects the tier, and a cold activation pays only a counter
+test and decrement beyond it. Values made before the switch reach the
+new code, since theirs is the cell. Two tiers, not one, because
+`compile()` costs 15 to 25 µs per generated line, 0.6 to 1.8 ms per
+quicksort body (Python 3.11), while most programs run few activations:
+over 200 `perfbench:fuzz:1:<i>` programs, a whole `diff_check` made a
+median of 8 and at most 27, so with `HOT_CALLS = 32` none of them
+leaves the closures. Generated factories are cached by their source
+text, which names no per-run value, so a program parsed or compiled
+afresh reuses the code object.
 
 Bindings live in a frame, one list per activation: the compiler gives
 every binder of a body its own slot and resolves each name occurrence

@@ -47,8 +47,8 @@ CACHE_SIZE = 64    # factories kept, by source text
 
 _ATOM_TYPES = (IntLit, UnitLit, BoxVal, MFunVal, MFun)  # values of one node
 _INDEXED = object()  # a `let !` binder: an int, unit or box, once its event is made
-_COMPARE = {"<": "<", "<=": "<=", "==": "=="}
-_ARITH = {"+": "+", "-": "-", "*": "*"}
+_COMPARE = frozenset(("<", "<=", "=="))  # operators that Python writes the same
+_ARITH = frozenset(("+", "-", "*"))
 
 _factories: "dict[str, object]" = {}
 _lock = threading.Lock()
@@ -88,7 +88,8 @@ class _Gen:
     """Writes one body. Names in the source: `S` the stats, `b<i>` the
     binders (each bound once on a path), `x<i>` temporaries (a stack,
     reused once consumed), `e<i>` branch events, `k<i>` the factory's
-    arguments, and `t` the type of the name read last."""
+    arguments, `t` the type of the value checked last, and `L`, `T`,
+    `B`, `F`, `C`, `P`, `c` the scratch of a `return`."""
 
     def __init__(self, site):
         self.site = site
@@ -340,8 +341,8 @@ class _Gen:
             a, b = self.int_operands(t, vs, rs)
             self.ntemp = base
             if op in _COMPARE:
-                return f"IntLit(1 if {a}{_COMPARE[op]}{b} else 0)", IntLit
-            return f"IntLit({a}{_ARITH[op]}{b})", IntLit
+                return f"IntLit(1 if {a}{op}{b} else 0)", IntLit
+            return f"IntLit({a}{op}{b})", IntLit
         if len(args) == 2 and op == "div":
             base = self.ntemp
             a, b = self.int_operands(t, vs, rs)
@@ -465,8 +466,7 @@ class _Gen:
             if (type(arg) is PrimOp and len(arg.args) == 2
                     and (arg.op in _COMPARE or arg.op in _ARITH)):
                 a, b = self.int_operands(arg, vs, rs)
-                sym = _COMPARE.get(arg.op) or _ARITH[arg.op]
-                test = f"{a}{sym}{b}" if arg.op in _COMPARE else f"({a}{sym}{b})!=0"
+                test = f"{a}{arg.op}{b}" if arg.op in _COMPARE else f"({a}{arg.op}{b})!=0"
             else:
                 a, aty = self.term(arg, vs, rs)
                 a = self.hold(a)
