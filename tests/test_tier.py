@@ -8,7 +8,7 @@ from support import mutant
 import mfl.eval_memo as eval_memo
 import mfl.tier as tier
 from mfl.corpus import decode_int_list, load
-from mfl.errors import DepthExceeded
+from mfl.errors import MflError
 from mfl.eval_memo import EvalConfig, eval_term, run_program
 from mfl.memostore import Store
 from mfl.parser import parse
@@ -41,7 +41,7 @@ def _outcome(program: Program, **kw):
     try:
         result = run_program(program, cfg)
         out = repr(result.value)
-    except DepthExceeded as exc:
+    except MflError as exc:
         out = f"{type(exc).__name__}: {exc}"
     return out, cfg.stats.as_dict(), dict(cfg.stats.per_table)
 
@@ -116,6 +116,35 @@ def test_body_past_the_nesting_cap_stays_on_closures(hot):
     assert site.run is site.cold
     assert _outcome(parse(src)) == cold
     assert cold[0] == repr(IntLit(2 * depth + 3))
+
+
+_BODY = ("val g = mfun f (a : !int) : int is let !x = a in return {body} end end "
+         "main {main}")
+
+
+@pytest.mark.parametrize("src", [
+    _BODY.format(body="keyof (box x)", main="g (!4) + g (!5)"),
+    _BODY.format(body="case unroll (roll [rec u . int + u] (inl [int + (rec u . int + u)] x)) "
+                      "of inl y => y | inr z => 0 end", main="g (!4)"),
+    _BODY.format(body="100 div x", main="g (!4) + g (!7)"),
+    _BODY.format(body="100 div x", main="g (!4) + g (!0)"),
+    _BODY.format(body="if x - 3 then 10 else 20", main="g (!3) + g (!4)"),
+    _BODY.format(body="case int2sum x of inl u => 1 | inr v => 2 end", main="g (!0) + g (!4)"),
+    _BODY.format(body="x + y", main="g (!4)"),
+    _BODY.format(body="x (3)", main="g (!4)"),
+    _BODY.format(body="(mfun h (b : !int) : int is let !y = b in return x + y end end) (!x)",
+                 main="g (!3) + g (!4)"),
+    "val g = mfun f (a : !int) : int is let !x = a in "
+    "mif x < 3 then return 1 else return 2 end end end main g (!1) + g (!5)",
+], ids=["keyof", "unroll", "div", "div-by-zero", "if-on-a-sum", "int2sum-of-a-name",
+        "free-variable", "apply-an-int", "nested-capture", "mif"])
+def test_generated_code_agrees_with_the_closures(hot, src):
+    # operators and shapes that the generated corpus and golden programs
+    # reach rarely or never
+    hot(10 ** 9)
+    cold = _outcome(parse(src))
+    hot(0)
+    assert _outcome(parse(src)) == cold
 
 
 def _identity_plus(k: int) -> str:
