@@ -90,8 +90,9 @@ def cmd_run(args) -> int:
     program, _ = _load_program(args.file)
     seed = _resolve_seed(args)
     # opened before the run, so that a path that cannot be written fails
-    # before anything is printed
-    with (open(args.stats, "w", encoding="utf-8") if args.stats
+    # before anything is printed, and for appending, so that a run that
+    # fails leaves a stats file that is already there as it was
+    with (open(args.stats, "a", encoding="utf-8") if args.stats
           else contextlib.nullcontext()) as stats_file:
         if args.semantics == "pure":
             result = run_program_pure(program)
@@ -103,6 +104,7 @@ def cmd_run(args) -> int:
             print(print_value(erase(result.value), result.store.boxes))
             stats = cfg.stats
         if stats_file is not None:
+            stats_file.truncate(0)
             stats_file.write(_stats_json(stats, seed))
     return EXIT_OK
 

@@ -214,15 +214,6 @@ def _lookup_steps(store: Store, v: Term, cfg: EvalConfig) -> int:
     return n
 
 
-def _name_steps(store: Store, v: Term, cfg: EvalConfig) -> int:
-    """Steps charged for reading a name bound to `v`. The closures and
-    the generated code inline this on their common paths; the generated
-    code calls it where it charges a read just before a raise."""
-    tp = type(v)
-    return (1 if tp in _ATOMS else 2 if tp is Bang and type(v.body) in _LEAVES
-            else _lookup_steps(store, v, cfg))
-
-
 _VALUE_NODES = frozenset((IntLit, UnitLit, BoxVal, MFunVal, Bang, Inl, Inr, Roll, Pair))
 
 
@@ -370,7 +361,7 @@ def _term_apply(t: Apply, vs, rs, unit):
             raise _not_applicable(fn)
         site, tail = fn.code
         arg = arg_c(fr, cfg, store)
-        if site.left:  # `_activate`, inline: a cold activation makes no extra call
+        if site.left:  # count down to the switch, inline: no extra call
             site.left -= 1
             if not site.left:
                 _promote(site)
@@ -800,14 +791,6 @@ class _Site:
             return closed
         return MFunVal(store.alloc_table(), t.fname, t.arg, t.arg_type,
                        t.res_type, closed.body, code=code)
-
-
-def _activate(site: _Site) -> None:
-    """Count an activation of `site`, which is still counting, and
-    switch it after the last. Generated code calls this."""
-    site.left -= 1
-    if not site.left:
-        _promote(site)
 
 
 def _promote(site: _Site) -> None:

@@ -170,10 +170,15 @@ class _Gen:
         self.emit(f"{tmp}={x}")
         return tmp
 
+    def load_type(self, x: str) -> str:
+        """The statement that puts the type of `x` in `t`. Every write of
+        `t` is made by it, so `tvar` always names what `t` holds."""
+        self.tvar = x
+        return f"t=type({x})"
+
     def type_of(self, x: str) -> str:
         if self.tvar != x:
-            self.emit(f"t=type({x})")
-            self.tvar = x
+            self.emit(self.load_type(x))
         return "t"
 
     def state(self):
@@ -225,8 +230,7 @@ class _Gen:
             self.steps += 1
             return x, None if ty is _INDEXED else ty
         n, self.steps = self.steps, 0
-        self.emit(f"t=type({x});S.steps+={_read_charge(x, n)}")
-        self.tvar = x
+        self.emit(f"{self.load_type(x)};S.steps+={_read_charge(x, n)}")
         return x, None
 
     def name_of(self, t, vs, rs) -> "str | None":
@@ -238,21 +242,11 @@ class _Gen:
                 return x
         return None
 
-    def guard(self, x: str, cond: str, error: str) -> int:
-        """Read the name `x` for a node that is Stuck with `error` when
-        `cond` holds of its type `t`, charging the read on the raise's
-        line. Returns the steps summed before the read: the caller adds
-        them with the read's charge, which the type it now knows fixes."""
-        n, self.steps = self.steps, 0
-        self.emit(f"t=type({x})")
-        self.emit(";".join([f"if {cond}:S.steps+={f'{n}+' if n else ''}_name_steps(store,{x},cfg)",
-                            *self.pending(), f"raise {error}"]))
-        return n
-
     def split_pair(self, scrut, vs, rs, what: str):
         """Evaluate the scrutinee of a `let*` or `split` and take it
         apart: Stuck unless it is a pair. Returns the binders of its two
-        sides. A pair read from a name is charged from its sides, which
+        sides. A name is read before its type test, and charged on the
+        raise's line if it is no pair, or else from its sides, which
         saves `_lookup_steps` a call when they are leaves or banged
         leaves."""
         left, right = self.bind(), self.bind()
@@ -265,7 +259,10 @@ class _Gen:
             self.emit(f"{left}={v}.left;{right}={v}.right")
             self.ntemp = base
             return left, right
-        n = self.guard(x, "t is not Pair", f"Stuck({what!r})")
+        n, self.steps = self.steps, 0
+        self.emit(self.load_type(x))
+        self.emit(";".join([f"if t is not Pair:S.steps+={_read_charge(x, n)}",
+                            *self.pending(), f"raise Stuck({what!r})"]))
         self.emit(f"{left}={x}.left;{right}={x}.right;S.steps+={n + 1}"
                   f"+{_side_steps(left)}+{_side_steps(right)}")
         return left, right
@@ -279,27 +276,22 @@ class _Gen:
     def apply(self, t: Apply, vs, rs):
         self.steps += 1
         base = self.ntemp
-        f = self.name_of(t.fn, vs, rs)
-        if f is not None:
-            fun = "t is not MFunVal and t is not MFun"
-            n = self.guard(f, f"{fun} or {f}.code is None", f"_not_applicable({f})")
-            self.steps += n + 1  # a function value is one node
-        else:
-            f, ty = self.term(t.fn, vs, rs)
-            f = self.hold(f)
-            if f != "b0":  # the running function's own value has code
-                tt = self.type_of(f)
-                fun = "" if ty is MFunVal or ty is MFun else f"{tt} is not MFunVal and {tt} is not MFun"
-                self.fail(f"{fun} or {f}.code is None" if fun else f"{f}.code is None",
-                          f"_not_applicable({f})")
-        site, tail = f"x{self.ntemp}", f"x{self.ntemp + 1}"
-        self.ntemp += 2
+        f, ty = self.term(t.fn, vs, rs)
+        f = self.hold(f)
+        if f != "b0":  # the running function's own value has code
+            tt = self.type_of(f)
+            fun = "" if ty is MFunVal or ty is MFun else f"{tt} is not MFunVal and {tt} is not MFun"
+            self.fail(f"{fun} or {f}.code is None" if fun else f"{f}.code is None",
+                      f"_not_applicable({f})")
+        site, tail = self.hold_name(), self.hold_name()
         self.emit(f"{site},{tail}={f}.code")
         arg, _ = self.term(t.arg, vs, rs)
         self.flush()
         self.ntemp = base
         out = self.hold_name()
-        self.emit(f"if {site}.left:_activate({site})")
+        # count the activation and switch the site after the last, as
+        # the closures do
+        self.emit(f"if {site}.left:{site}.left-=1;{site}.left or _promote({site})")
         self.emit("cfg.depth+=1")
         self.emit("if cfg.depth>cfg.depth_limit:raise _too_deep(cfg)")
         self.emit(f"try:{out}={site}.run([{f},{arg},*{tail}],cfg,store,[])")
@@ -409,14 +401,9 @@ class _Gen:
     def unbox(self, t: Unbox, vs, rs):
         self.steps += 1
         base = self.ntemp
-        v = self.name_of(t.body, vs, rs)
-        if v is not None:
-            n = self.guard(v, "t is not BoxVal", "Stuck('unbox of a non-box value')")
-            self.steps += n + 1  # a box is one node
-        else:
-            v, ty = self.term(t.body, vs, rs)
-            v = self.hold(v)
-            self.check(v, ty, BoxVal, "unbox of a non-box value")
+        v, ty = self.term(t.body, vs, rs)
+        v = self.hold(v)
+        self.check(v, ty, BoxVal, "unbox of a non-box value")
         self.flush()
         self.ntemp = base
         out = self.hold_name()
@@ -528,23 +515,18 @@ class _Gen:
     def let_bang(self, e: LetBang, vs, rs, events):
         self.steps += 1
         b = self.bind()
-        x = self.name_of(e.scrut, vs, rs)
-        if x is not None:
-            n = self.guard(x, "t is not Bang", "Stuck('let ! of a non-bang value')")
-            self.emit(f"{b}={x}.body;t=type({b});S.steps+={n + 2} if t in _LEAVES else "
-                      f"{f'{n}+' if n else ''}_lookup_steps(store,{x},cfg)")
-        else:
-            base = self.ntemp
-            v, ty = self.term(e.scrut, vs, rs)
-            v = self.hold(v)
-            self.check(v, ty, Bang, "let ! of a non-bang value")
-            self.ntemp = base
-            self.emit(f"{b}={v}.body;t=type({b})")
+        base = self.ntemp
+        v, ty = self.term(e.scrut, vs, rs)
+        v = self.hold(v)
+        self.check(v, ty, Bang, "let ! of a non-bang value")
+        self.ntemp = base
+        self.emit(f"{b}={v}.body;{self.load_type(b)}")
         self.known[b] = _INDEXED
         ev = f"e{self.nevent}"
         self.nevent += 1
         self.flush()
-        self.emit(f"{ev}=({KIND_BANG},{b}.value if t is IntLit else {b}.tag if t is BoxVal "
+        tb = self.type_of(b)
+        self.emit(f"{ev}=({KIND_BANG},{b}.value if {tb} is IntLit else {b}.tag if {tb} is BoxVal "
                   f"else index_of({b}))")
         self.expr(e.body, {**vs, e.name: b}, rs, self.event(events, ev))
 
@@ -570,17 +552,19 @@ class _Gen:
         self.fail_else(cond[3], "mcase of a non-sum value")
 
 
-def _read_charge(x: str, n: int) -> str:
-    """What reading the value `x` charges, plus `n`, with its type in
-    `t`: the closures' two-statement charge of a name read."""
-    return (f"{n + 1} if t in _ATOMS else {n + 2} if t is Bang and type({x}.body) in _LEAVES "
+def _read_charge(x: str, n: int, tx: str = "t") -> str:
+    """What reading the value `x` of type `tx` charges, plus `n`: the
+    closures' charge of a name read, one step for a one-node value, two
+    for a banged leaf, else `_lookup_steps`. Every read charge the
+    generated code makes is built here."""
+    return (f"{n + 1} if {tx} in _ATOMS else {n + 2} if {tx} is Bang and type({x}.body) in _LEAVES "
             f"else {f'{n}+' if n else ''}_lookup_steps(store,{x},cfg)")
 
 
 def _side_steps(x: str) -> str:
-    """What `_lookup_steps` charges for the side `x` of a pair."""
-    return (f"(2 if type({x}) is Bang and type({x}.body) in _LEAVES else 1 if type({x}) "
-            f"in _LEAVES else _lookup_steps(store,{x},cfg))")
+    """What `_lookup_steps` charges for the side `x` of a pair. Unchecked,
+    it is what reading `x` as a name charges."""
+    return f"({_read_charge(x, 0, f'type({x})')})"
 
 
 _TERM_RULES = {

@@ -119,6 +119,20 @@ def test_run_prints_value_and_stats(corpus_file, tmp_path, capsys):
                         "returns"}
 
 
+def test_stats_file_is_replaced_by_a_run_and_kept_by_a_failed_one(corpus_file, tmp_path,
+                                                                   capsys):
+    stats = tmp_path / "s.json"
+    stats.write_text("x" * 10000)
+    assert cli.main(["run", corpus_file("fib"), "--seed", "3", "--stats", str(stats)]) == 0
+    assert json.loads(stats.read_text())["seed"] == 3
+    written = stats.read_bytes()
+    failing = tmp_path / "div.mfl"
+    failing.write_text("main 1 div 0\n")
+    assert cli.main(["run", str(failing), "--seed", "4", "--stats", str(stats)]) == 1
+    assert stats.read_bytes() == written
+    capsys.readouterr()
+
+
 def test_stats_json_bytes_deterministic(corpus_file, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     cli.main(["run", corpus_file("quicksort"), "--seed", "11", "--stats", str(a)])

@@ -120,6 +120,12 @@ def test_body_past_the_nesting_cap_stays_on_closures(hot):
 
 _BODY = ("val g = mfun f (a : !int) : int is let !x = a in return {body} end end "
          "main {main}")
+# a `let !`-bound box read twice, with the type test of a captured
+# function's application between the reads
+_BOXED = ("val id = mfun i (n : !int) : int is let !m = n in return m end end "
+          "val g = mfun f (a' : !(int box)) : int is "
+          "let !a = a' in return ({read} a + id (!({read} a))) end end "
+          "main g (!(box 3)) + g (!(box 4))")
 
 
 @pytest.mark.parametrize("src", [
@@ -136,8 +142,11 @@ _BODY = ("val g = mfun f (a : !int) : int is let !x = a in return {body} end end
                  main="g (!3) + g (!4)"),
     "val g = mfun f (a : !int) : int is let !x = a in "
     "mif x < 3 then return 1 else return 2 end end end main g (!1) + g (!5)",
+    _BOXED.format(read="keyof"),
+    _BOXED.format(read="unbox"),
 ], ids=["keyof", "unroll", "div", "div-by-zero", "if-on-a-sum", "int2sum-of-a-name",
-        "free-variable", "apply-an-int", "nested-capture", "mif"])
+        "free-variable", "apply-an-int", "nested-capture", "mif",
+        "keyof-across-a-call", "unbox-across-a-call"])
 def test_generated_code_agrees_with_the_closures(hot, src):
     # operators and shapes that the generated corpus and golden programs
     # reach rarely or never
