@@ -121,7 +121,8 @@ def test_body_past_the_nesting_cap_stays_on_closures(hot):
 _BODY = ("val g = mfun f (a : !int) : int is let !x = a in return {body} end end "
          "main {main}")
 # a `let !`-bound box read twice, with the type test of a captured
-# function's application between the reads
+# function's application between the reads; the last case tests a pair
+# between a `let !` binder's event and its read
 _BOXED = ("val id = mfun i (n : !int) : int is let !m = n in return m end end "
           "val g = mfun f (a' : !(int box)) : int is "
           "let !a = a' in return ({read} a + id (!({read} a))) end end "
@@ -144,9 +145,12 @@ _BOXED = ("val id = mfun i (n : !int) : int is let !m = n in return m end end "
     "mif x < 3 then return 1 else return 2 end end end main g (!1) + g (!5)",
     _BOXED.format(read="keyof"),
     _BOXED.format(read="unbox"),
+    "val g = mfun f (p : !(int box) * (int * int)) : int is let* (a', q) = p in "
+    "let !a = a' in let* (u, v) = q in return (keyof a) end end end end "
+    "main g ((!(box 3), (1, 2))) + g ((!(box 4), (1, 2)))",
 ], ids=["keyof", "unroll", "div", "div-by-zero", "if-on-a-sum", "int2sum-of-a-name",
         "free-variable", "apply-an-int", "nested-capture", "mif",
-        "keyof-across-a-call", "unbox-across-a-call"])
+        "keyof-across-a-call", "unbox-across-a-call", "keyof-after-a-let-star"])
 def test_generated_code_agrees_with_the_closures(hot, src):
     # operators and shapes that the generated corpus and golden programs
     # reach rarely or never
