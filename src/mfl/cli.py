@@ -91,21 +91,28 @@ def cmd_run(args) -> int:
     seed = _resolve_seed(args)
     # opened before the run, so that a path that cannot be written fails
     # before anything is printed, and for appending, so that a run that
-    # fails leaves a stats file that is already there as it was
-    with (open(args.stats, "a", encoding="utf-8") if args.stats
-          else contextlib.nullcontext()) as stats_file:
-        if args.semantics == "pure":
-            result = run_program_pure(program)
-            print(print_value(result.value, result.store.boxes))
-            stats = result.stats
-        else:
-            cfg = EvalConfig(mode="cold" if args.cold else "normal", checked=args.checked)
-            result = run_program(program, cfg)
-            print(print_value(erase(result.value), result.store.boxes))
-            stats = cfg.stats
-        if stats_file is not None:
-            stats_file.truncate(0)
-            stats_file.write(_stats_json(stats, seed))
+    # fails leaves a stats file that is already there as it was, and
+    # removes one that only this run made
+    made = bool(args.stats) and not os.path.lexists(args.stats)
+    try:
+        with (open(args.stats, "a", encoding="utf-8") if args.stats
+              else contextlib.nullcontext()) as stats_file:
+            if args.semantics == "pure":
+                result = run_program_pure(program)
+                print(print_value(result.value, result.store.boxes))
+                stats = result.stats
+            else:
+                cfg = EvalConfig(mode="cold" if args.cold else "normal", checked=args.checked)
+                result = run_program(program, cfg)
+                print(print_value(erase(result.value), result.store.boxes))
+                stats = cfg.stats
+            if stats_file is not None:
+                stats_file.truncate(0)
+                stats_file.write(_stats_json(stats, seed))
+    except BaseException:
+        if made:
+            Path(args.stats).unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 

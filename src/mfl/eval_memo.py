@@ -70,7 +70,14 @@ in the program (a substituted declaration, say) costs its node count.
 `mt_lookup`, `mt_insert` and `subst` are called through this module's
 globals, so they can be intercepted here: perfbench's tracer times them,
 and the differential tests' mutants (`tests/support.py`) replace
-`mt_insert` to drop inserts or to insert under a wrong key.
+`mt_insert` to drop inserts or to insert under a wrong key. Generated
+bodies walk their tables inline instead, but only those generated while
+both functions are `memostore`'s own; one generated while either is
+replaced calls it, so an interceptor sees every lookup and insert of
+the runs that start after it is installed.
+
+A `let !` keeps the bang it took apart in a frame slot of its own, and
+`!x` of its binder returns that bang rather than a new one.
 
 Six operand sites read a bound name themselves: the function of an
 application, the body of a `!` or `unbox`, and the scrutinee of a
@@ -99,6 +106,7 @@ from types import SimpleNamespace
 
 from .errors import DepthExceeded, DivisionByZero, InternalInvariantError, Stuck
 from .memostore import INL_EVENT, INR_EVENT, KIND_BANG, Store, index_of, mt_insert, mt_lookup
+from .memostore import _Node  # noqa: F401  (read by generated code, which runs in these globals)
 from .stats import EvalStats
 from .syntax import (
     Apply, Bang, Box, BoxVal, Expr, IntLit, Inl, Inr, KeyOf, LetBang,
@@ -252,12 +260,14 @@ def _value_size(t: Term, funs: list, before: int = 0) -> "int | None":
 
 
 class _Unit:
-    __slots__ = ("size", "captured", "sites")
+    __slots__ = ("size", "captured", "sites", "bangs")
 
     def __init__(self, size: int, captured: "range" = range(0)):
         self.size = size
         self.captured = captured
         self.sites: "dict[MFun, _Site]" = {}
+        # the slot of each `let !` binder -> the slot of the bang it took apart
+        self.bangs: "dict[int, int]" = {}
 
     def slot(self) -> int:
         self.size += 1
@@ -427,6 +437,8 @@ def _term_wrap(t, vs, rs, unit):
     tp = type(t)
     if tp is Bang:
         body_c, slot = _operand(t.body, vs, rs, unit)
+        # `!x` of a `let !`-bound x is the bang that `let !` took apart
+        held = unit.bangs.get(slot)
 
         def ev(fr, cfg, store):
             stats = cfg.stats
@@ -441,6 +453,8 @@ def _term_wrap(t, vs, rs, unit):
                     _check_loc(store, v.loc)
             else:
                 v = body_c(fr, cfg, store)
+            if held is not None:
+                return fr[held]
             return Bang(v)
         return ev
     body_c = _compile_term(t.body, vs, rs, unit)
@@ -640,6 +654,7 @@ def _expr_return(e: Return, vs, rs, unit):
 def _expr_let_bang(e: LetBang, vs, rs, unit):
     scrut_c, scrut_slot = _operand(e.scrut, vs, rs, unit)
     slot = unit.slot()
+    bang_slot = unit.bangs[slot] = unit.slot()
     body_c = _compile_expr(e.body, {**vs, e.name: slot}, rs, unit)
 
     def ex(fr, cfg, store, branch):
@@ -669,6 +684,7 @@ def _expr_let_bang(e: LetBang, vs, rs, unit):
             if cfg.trace:
                 stats.events.append(("event", fr[0].loc, event))
         fr[slot] = inner
+        fr[bang_slot] = v
         return body_c(fr, cfg, store, branch)
     return ex
 

@@ -6,6 +6,16 @@ arm each memoized case took. Memo tables are nested hash tables keyed one
 event per level, so a lookup or insert of a branch with m events costs
 m (+1) hash probes. The store maps a location to the memo table of the
 function value allocated there, and doubles as the box registry.
+
+`lookup_source` and `insert_source` are the two operations as Python
+source, for a branch whose length is known when the source is written:
+`mfl.tier` emits them inline at each `return` of a generated body, where
+the events of the path are static. The walk is straight-line code, one
+statement per event, and it charges what `mt_lookup` and `mt_insert`
+charge. Only the common insert, a branch whose every level is an inner
+level or absent and whose last slot is free, is done inline; every
+other case calls `mt_insert` itself, so its errors and messages are the
+function's own. The layout of a table is known only to this module.
 """
 
 from __future__ import annotations
@@ -137,6 +147,47 @@ def mt_insert(table: MemoTable, branch, value, stats=None, on_dup: str = "error"
     else:
         children[key] = value
     table.entries += 1
+
+
+def lookup_source(codes: "list[str]") -> "tuple[str, str, str]":
+    """`mt_lookup(T, [codes], S)` for a branch whose events are the
+    Python expressions `codes`, with `T` the table and `S` the stats in
+    scope: the walk, one simple statement that charges the probes; the
+    condition that it found a value; and the local that holds it. The
+    walk binds `W0`, `W1`, ...: `W<i+1>` is the slot of event i, or None
+    once the walk has left the table."""
+    k = len(codes)
+    walk = ["W0=T.root"] + [f"W{i + 1}=W{i}.children.get({code}) if type(W{i}) is _Node else None"
+                            for i, code in enumerate(codes)]
+    # one probe per event walked, up to the first one missing, plus one
+    probes = "".join(f"{i + 1} if W{i} is None else " for i in range(1, k)) + str(k + 1)
+    last = f"W{k}"
+    return (";".join([*walk, f"S.probes+={probes}"]),
+            f"{last} is not None and type({last}) is not _Node", last)
+
+
+def insert_source(codes: "list[str]", value: str) -> "list[str]":
+    """The statements of `mt_insert(T, [codes], value, S, on_dup='keep')`
+    for a branch whose events are the Python expressions `codes`. The
+    walk makes each absent inner level and stores `value` in place when
+    the last slot is free; a stored value on the way (a shorter branch),
+    a stored inner level at the end (a longer one) or a stored value at
+    the end (a duplicate) is left to `mt_insert`. It binds `W0`, `W1`,
+    ... as `lookup_source` does."""
+    k = len(codes)
+    fallback = f"else:mt_insert(T,[{','.join(codes)}],{value},S,on_dup='keep')"
+    if not k:
+        return [f"if type(T.root) is _Node and not T.root.children:"
+                f"T.root={value};T.entries+=1;S.probes+=1", fallback]
+    lines = ["W0=T.root"]
+    for i, code in enumerate(codes[:-1]):
+        lines += [f"if type(W{i}) is not _Node:W{i + 1}=None",
+                  f"elif (W{i + 1}:=W{i}.children.get({code})) is None:"
+                  f"W{i + 1}=W{i}.children[{code}]=_Node()"]
+    last = f"W{k - 1}"
+    return [*lines, f"if type({last}) is _Node and {codes[-1]} not in {last}.children:"
+                    f"{last}.children[{codes[-1]}]={value};T.entries+=1;S.probes+={k + 1}",
+            fallback]
 
 
 @dataclass(slots=True)

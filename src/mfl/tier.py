@@ -15,9 +15,25 @@ The generated code charges what the closures charge, and it raises the
 same errors with the same messages. Charges that cannot be observed
 before the next call or raise are summed, and the sum is added before
 that call or raise, or on the raise's own line. So the counters at any
-error are those of the closures. The code runs in `eval_memo`'s
-globals, so `mt_lookup` and `mt_insert` are looked up there at each
-call, where the tracer and the tests' mutants replace them.
+error are those of the closures.
+
+A `return` walks its memo table inline: its branch has a length known
+here, so the lookup and the insert are straight-line code from
+`memostore.lookup_source` and `memostore.insert_source`, which charge
+the probes `mt_lookup` and `mt_insert` charge and call `mt_insert` for
+every insert but the common one. That saves two Python calls per
+return, where branches are short (1 or 2 events on the workloads). The
+code runs in `eval_memo`'s globals, where perfbench's tracer and the
+tests' mutants replace `mt_lookup` or `mt_insert`; a body generated
+while either is replaced calls them instead, as the closures do, so
+they see every lookup and insert. The two forms differ in source, so
+the cache keeps them apart.
+
+As in the closures, `!x` of a `let !`-bound `x` is the bang that `let !`
+took apart, not a new `Bang` with the same body: the same value and the
+same charges, one allocation fewer. Both tiers do it, so a value's
+source position (`pos`, which `repr` shows and `term_eq` ignores) does
+not depend on the tier.
 
 The source depends only on the body's shape. Literal values, types,
 error messages that name a variable and the sites of nested `mfun`
@@ -35,7 +51,8 @@ import threading
 
 from . import eval_memo
 from .eval_memo import _VALUE_NODES, _value_size
-from .memostore import INL_EVENT, INR_EVENT, KIND_BANG
+from . import memostore
+from .memostore import INL_EVENT, INR_EVENT, KIND_BANG, insert_source, lookup_source
 from .syntax import (
     Apply, Bang, Box, BoxVal, IntLit, Inl, Inr, KeyOf, LetBang, LetPair,
     MCase, MFun, MFunVal, Pair, PrimOp, Res, Return, Roll, TermCase,
@@ -89,7 +106,8 @@ class _Gen:
     binders (each bound once on a path), `x<i>` temporaries (a stack,
     reused once consumed), `e<i>` branch events, `k<i>` the factory's
     arguments, `t` the type of the value checked last, and `L`, `T`,
-    `B`, `F`, `C`, `P`, `c` the scratch of a `return`."""
+    `B`, `F`, `C`, `P`, `c` and the memo walk's `W<i>` the scratch of a
+    `return`."""
 
     def __init__(self, site):
         self.site = site
@@ -101,7 +119,13 @@ class _Gen:
         self.ntemp = 0
         self.nevent = 0
         self.known: "dict[str, type]" = {}  # locals whose value type is fixed
+        self.bangs: "dict[str, str]" = {}  # `let !` binder -> the bang it took apart
         self.tvar = None  # the local whose type `t` holds
+        # walk the memo table inline, unless the memo store's functions
+        # have been replaced in eval_memo (by a tracer or a mutant), which
+        # then must see every lookup and insert
+        self.inline = (eval_memo.mt_lookup is memostore.mt_lookup
+                       and eval_memo.mt_insert is memostore.mt_insert)
         # charges summed but not yet added: steps, branch events, box
         # allocations, and the branch length max_branch_len must reach
         self.steps = self.events = self.boxes = self.maxlen = 0
@@ -298,6 +322,15 @@ class _Gen:
         self.emit("finally:cfg.depth-=1")
         return out, None
 
+    def keep(self, x: str) -> str:
+        """`x` as a name that stays valid to the end of the path: a
+        binder or a factory argument, or else a new binder."""
+        if x.isidentifier() and x[0] != "x":
+            return x
+        b = self.bind()
+        self.emit(f"{b}={x}")
+        return b
+
     def hold_name(self) -> str:
         """A free temporary, which the caller assigns next."""
         tmp = f"x{self.ntemp}"
@@ -363,6 +396,8 @@ class _Gen:
         self.steps += 1
         body = self.term(t.body, vs, rs)[0]
         if tp is Bang:
+            if type(t.body) is Var and body in self.bangs:
+                return self.bangs[body], Bang
             return f"Bang({body})", Bang
         if tp is Roll:
             return f"Roll({body},{self.const(t.rec_type)})", Roll
@@ -504,24 +539,36 @@ class _Gen:
     def ret(self, e: Return, vs, rs, events):
         self.steps += 1
         self.flush()
-        self.emit(f"L=b0.loc;T=store.tables[L];B=[{','.join(events)}];F,C=mt_lookup(T,B,S)")
-        self.emit("if F:S.memo_hits+=1;S.returns+=1;P=S.per_table;"
-                  "c=P.get(L) or P.setdefault(L,[0,0]);c[0]+=1;return C")
+        self.emit("L=b0.loc;T=store.tables[L]")
+        hit = "S.memo_hits+=1;S.returns+=1;P=S.per_table;c=P.get(L) or P.setdefault(L,[0,0]);c[0]+=1"
+        if self.inline:
+            walk, found, value = lookup_source(list(events))
+            self.emit(walk)
+            self.emit(f"if {found}:{hit};return {value}")
+        else:
+            self.emit(f"B=[{','.join(events)}];F,C=mt_lookup(T,B,S)")
+            self.emit(f"if F:{hit};return C")
         self.emit("S.memo_misses+=1;P=S.per_table;c=P.get(L) or P.setdefault(L,[0,0]);c[1]+=1")
         v = self.hold(self.term(e.body, vs, rs)[0])
         self.flush()
-        self.emit(f"mt_insert(T,B,{v},S,on_dup='keep');S.returns+=1;return {v}")
+        if self.inline:
+            for line in insert_source(list(events), v):
+                self.emit(line)
+            self.emit(f"S.returns+=1;return {v}")
+        else:
+            self.emit(f"mt_insert(T,B,{v},S,on_dup='keep');S.returns+=1;return {v}")
 
     def let_bang(self, e: LetBang, vs, rs, events):
         self.steps += 1
         b = self.bind()
         base = self.ntemp
         v, ty = self.term(e.scrut, vs, rs)
-        v = self.hold(v)
+        v = self.keep(v)
         self.check(v, ty, Bang, "let ! of a non-bang value")
         self.ntemp = base
         self.emit(f"{b}={v}.body;{self.load_type(b)}")
         self.known[b] = _INDEXED
+        self.bangs[b] = v
         ev = f"e{self.nevent}"
         self.nevent += 1
         self.flush()

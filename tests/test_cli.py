@@ -130,6 +130,10 @@ def test_stats_file_is_replaced_by_a_run_and_kept_by_a_failed_one(corpus_file, t
     failing.write_text("main 1 div 0\n")
     assert cli.main(["run", str(failing), "--seed", "4", "--stats", str(stats)]) == 1
     assert stats.read_bytes() == written
+    # a stats file that the failed run itself made is removed
+    fresh = tmp_path / "s2.json"
+    assert cli.main(["run", str(failing), "--seed", "4", "--stats", str(fresh)]) == 1
+    assert not fresh.exists()
     capsys.readouterr()
 
 

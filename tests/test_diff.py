@@ -10,6 +10,11 @@ from mfl.syntax import Apply, Bang, BoxVal, IntLit, MFun, Pair, Program, UnitLit
 
 import pytest
 
+# every test also runs with each site on generated code from its first
+# activation (hot0) and from its second (hot1), so the mutants are seen
+# to reach hot sites too
+pytestmark = pytest.mark.usefixtures("hot_calls")
+
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_corpus_diff_ok(name):

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mfl.errors import DuplicateBranch, NonIndexableValue, PrefixViolation
+import mfl.memostore as memostore
+from mfl.errors import DuplicateBranch, MflError, NonIndexableValue, PrefixViolation
 from mfl.memostore import (
     INL_EVENT, INR_EVENT, KIND_BANG, KIND_SUM, MemoTable, Store, index_of,
-    mt_insert, mt_lookup,
+    insert_source, lookup_source, mt_insert, mt_lookup,
 )
 from mfl.stats import EvalStats
 from mfl.syntax import BoxVal, IntLit, Pair, UnitLit
@@ -258,3 +259,82 @@ def test_items_with_the_empty_branch_stored():
     with pytest.raises(PrefixViolation):
         mt_insert(table, [], "root")
     assert list(table.items()) == [(((KIND_BANG, 3),), "v")]
+
+
+# --------------------------------------------------------------------------
+# The inline templates (`lookup_source`, `insert_source`) against the
+# functions they stand for
+# --------------------------------------------------------------------------
+
+_templates: dict = {}
+
+
+def _template(codes: tuple):
+    """`lookup(T, S, *events)` and `insert(T, S, v, *events)` compiled
+    from the templates for the event expressions `codes`, run in the
+    module's globals as generated code runs in the evaluator's."""
+    made = _templates.get(codes)
+    if made is None:
+        walk, found, value = lookup_source(list(codes))
+        args = "".join(f",{c}" for c in codes if c.isidentifier())
+        src = "\n".join([f"def lookup(T,S{args}):", f" {walk}",
+                         f" if {found}:return True,{value}", " return False,None",
+                         f"def insert(T,S,v{args}):",
+                         *(f" {line}" for line in insert_source(list(codes), "v")), ""])
+        names: dict = {}
+        exec(compile(src, "<template>", "exec"), vars(memostore), names)
+        made = _templates[codes] = names["lookup"], names["insert"]
+    return made
+
+
+def _codes(key) -> tuple:
+    # an arm event as a literal, as generated code writes it, and a bang
+    # event as a local
+    return tuple(repr(ev) if ev[0] == KIND_SUM else f"e{i}" for i, ev in enumerate(key))
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except MflError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_events = st.one_of(st.builds(bang, st.integers(0, 2)), st.sampled_from([INL_EVENT, INR_EVENT]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_templates_agree_with_lookup_and_insert(data):
+    # few events and short branches, so that stored prefixes, stored
+    # extensions and duplicates are common
+    ref, tpl = MemoTable(), MemoTable()
+    ref_stats, tpl_stats = EvalStats(), EvalStats()
+    keys: list = []
+    for step in range(data.draw(st.integers(1, 20))):
+        how = data.draw(st.sampled_from(["new", "again", "prefix", "extend"]) if keys else
+                        st.just("new"))
+        if how == "new":
+            key = data.draw(st.lists(_events, max_size=4))
+        else:
+            old = data.draw(st.sampled_from(keys))
+            if how == "prefix":
+                key = old[:data.draw(st.integers(0, len(old)))]
+            elif how == "extend":
+                key = old + data.draw(st.lists(_events, min_size=1, max_size=4))
+            else:
+                key = list(old)
+        key = key[:4]
+        keys.append(key)
+        lookup, insert = _template(_codes(key))
+        bangs = [ev for ev in key if ev[0] == KIND_BANG]
+        if data.draw(st.booleans()):
+            want = _outcome(lambda: mt_lookup(ref, list(key), ref_stats))
+            got = _outcome(lambda: lookup(tpl, tpl_stats, *bangs))
+        else:
+            want = _outcome(lambda: mt_insert(ref, list(key), step, ref_stats, on_dup="keep"))
+            got = _outcome(lambda: insert(tpl, tpl_stats, step, *bangs))
+        assert got == want, key
+        assert tpl_stats.probes == ref_stats.probes, key
+        assert len(tpl) == len(ref)
+        assert list(tpl.items()) == list(ref.items())

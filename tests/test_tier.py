@@ -5,7 +5,9 @@ globals, that it charges what the closures charge, and its cache."""
 import pytest
 
 from support import mutant
+from tier_shapes import tier_program
 import mfl.eval_memo as eval_memo
+import mfl.memostore as memostore
 import mfl.tier as tier
 from mfl.corpus import decode_int_list, load
 from mfl.errors import MflError
@@ -56,6 +58,24 @@ def test_hot_site_inserts_through_the_module_global(hot):
     assert _is_generated(_site(skipped.decl_values["mfib"]))
     assert all(len(table) == 0 for table in skipped.store.tables.values())
     assert skipped.stats.memo_hits == 0
+
+
+def test_hot_site_looks_up_through_the_module_global(hot, monkeypatch):
+    # a wrapper on `eval_memo.mt_lookup`, as perfbench's tracer installs
+    # one, sees every lookup, so the generated code calls it and does not
+    # walk the table inline
+    hot(0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return memostore.mt_lookup(*args)
+
+    monkeypatch.setattr(eval_memo, "mt_lookup", counted)
+    result = run_program(load("fib"), EvalConfig())
+    assert _is_generated(_site(result.decl_values["mfib"]))
+    assert result.stats.returns > 0
+    assert len(calls) == result.stats.memo_hits + result.stats.memo_misses == result.stats.returns
 
 
 def test_value_made_while_cold_runs_the_generated_code(hot):
@@ -182,3 +202,14 @@ def test_factory_cache_is_bounded(hot, monkeypatch):
         assert _outcome(parse(src))[0] == repr(IntLit(want))
         assert len(tier._factories) <= 2
     assert len(tier._factories) == 2
+
+
+def test_tier_shapes_agree_with_the_closures(hot):
+    # bodies that mix `let !` of ints and boxes, `mif`/`mcase`, `!x` of
+    # `let !`-bound names, captured functions, `keyof` and `unbox`
+    for seed in range(300):
+        src = tier_program(seed)
+        hot(10 ** 9)
+        cold = _outcome(parse(src))
+        hot(0)
+        assert _outcome(parse(src)) == cold, src
