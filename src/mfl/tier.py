@@ -324,7 +324,8 @@ class _Gen:
 
     def keep(self, x: str) -> str:
         """`x` as a name that stays valid to the end of the path: a
-        binder or a factory argument, or else a new binder."""
+        binder or a factory argument, or else a new binder (a temporary,
+        `x<i>`, is reused)."""
         if x.isidentifier() and x[0] != "x":
             return x
         b = self.bind()
