@@ -73,8 +73,8 @@ and the differential tests' mutants (`tests/support.py`) replace
 `mt_insert` to drop inserts or to insert under a wrong key. Generated
 bodies walk their tables inline instead, but only those generated while
 both functions are `memostore`'s own; one generated while either is
-replaced calls it, so an interceptor sees every lookup and insert of
-the runs that start after it is installed.
+replaced calls it, so an interceptor installed before a program is
+compiled sees every lookup and insert of its runs.
 
 A `let !` keeps the bang it took apart in a frame slot of its own, and
 `!x` of its binder returns that bang rather than a new one.
