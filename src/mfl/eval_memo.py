@@ -79,24 +79,17 @@ compiled sees every lookup and insert of its runs.
 A `let !` keeps the bang it took apart in a frame slot of its own, and
 `!x` of its binder returns that bang rather than a new one.
 
-Six operand sites read a bound name themselves: the function of an
-application, the body of a `!` or `unbox`, and the scrutinee of a
-`split`, `let !` or `let*`. There the node reads the frame slot and
-compiles no closure for the operand, which saves a Python call per name
-read (the dispatches a superoperator saves, Proebsting 1995). These are
-the sites where the workloads read names: per `qsort-incr` operation,
-`let !` reads 14.8k names inline, application 9.9k, `!` 8.0k, `unbox`
-6.0k, `split` 5.5k and `let*` 4.8k. The scrutinee of a `case` or
-`mcase` and the body of an `unroll` read none on `qsort-incr` or
-`knapsack-dp` and at most 0.1 per `fuzz-diff` operation, so they call
-the operand's closure. Every name read, inline or in the closure of
-`_compile_name`, is charged by the same two statements: one step for a
-one-node value, two for a banged leaf and `_lookup_steps` for the rest;
-then, in checked mode, a bare function value's table is checked, after
-its step is charged. A node charges its own step first and its
-operand's next, as when the operand was a closure, and every charge is
-added before anything raises, so the counters at a failure are those of
-the substitution rules too.
+Every name occurrence compiles to the one closure of `_compile_name`,
+whichever node it is the operand of, and that closure charges the read:
+one step for a one-node value, two for a banged leaf and `_lookup_steps`
+for the rest; then, in checked mode, a bare function value's table is
+checked, after its step is charged. The generated tier builds its reads
+from the same rule (`tier._read_charge`). No node reads a name operand
+itself to save the call: hot bodies run generated, and the closures
+read too few names for it to pay. A node charges its own step
+before it runs its operands, and every charge is added before anything
+raises, so the counters at a failure are those of the substitution
+rules too.
 """
 
 from __future__ import annotations
@@ -321,10 +314,10 @@ def _compile_name(name: str, slot: "int | None", kind: str):
             raise Stuck(f"free {kind} '{name}' at run time")
         return ev
 
-    # The charge of a name read, which every operand read in this module
-    # repeats: the common values, one node or a banged leaf, are charged
-    # inline, the rest by `_lookup_steps`; a bare function value's table
-    # is checked after its step is charged.
+    # The charge of a name read, the only one in the closures: the common
+    # values, one node or a banged leaf, are charged inline, the rest by
+    # `_lookup_steps`; a bare function value's table is checked after its
+    # step is charged.
     def ev(fr, cfg, store):
         v = fr[slot]
         tp = type(v)
@@ -337,36 +330,14 @@ def _compile_name(name: str, slot: "int | None", kind: str):
     return ev
 
 
-def _operand(t: Term, vs: dict, rs: dict, unit: _Unit):
-    """Compile the operand `t` of a node: (None, slot) if `t` is a bound
-    name, which the node reads from its frame slot and charges itself
-    by the statement in `_compile_name`; else (t's closure, None)."""
-    tp = type(t)
-    if tp is Var or tp is Res:
-        slot = (vs if tp is Var else rs).get(t.name)
-        if slot is not None:
-            return None, slot
-    return _compile_term(t, vs, rs, unit), None
-
-
 def _term_apply(t: Apply, vs, rs, unit):
-    fn_c, fn_slot = _operand(t.fn, vs, rs, unit)
+    fn_c = _compile_term(t.fn, vs, rs, unit)
     arg_c = _compile_term(t.arg, vs, rs, unit)
 
     def ev(fr, cfg, store):
-        stats = cfg.stats
-        stats.steps += 1
-        if fn_c is None:
-            fn = fr[fn_slot]
-            tp = type(fn)
-            stats.steps += (1 if tp in _ATOMS else
-                            2 if tp is Bang and type(fn.body) in _LEAVES else
-                            _lookup_steps(store, fn, cfg))
-            if tp is MFunVal and cfg.checked:
-                _check_loc(store, fn.loc)
-        else:
-            fn = fn_c(fr, cfg, store)
-            tp = type(fn)
+        cfg.stats.steps += 1
+        fn = fn_c(fr, cfg, store)
+        tp = type(fn)
         if tp is not MFunVal and tp is not MFun or fn.code is None:
             raise _not_applicable(fn)
         site, tail = fn.code
@@ -435,29 +406,18 @@ def _term_pair(t: Pair, vs, rs, unit):
 def _term_wrap(t, vs, rs, unit):
     # Bang, Inl, Inr, Roll around a body that is not a value
     tp = type(t)
+    body_c = _compile_term(t.body, vs, rs, unit)
     if tp is Bang:
-        body_c, slot = _operand(t.body, vs, rs, unit)
         # `!x` of a `let !`-bound x is the bang that `let !` took apart
-        held = unit.bangs.get(slot)
+        held = unit.bangs.get(vs.get(t.body.name)) if type(t.body) is Var else None
 
         def ev(fr, cfg, store):
-            stats = cfg.stats
-            stats.steps += 1
-            if body_c is None:
-                v = fr[slot]
-                tp = type(v)
-                stats.steps += (1 if tp in _ATOMS else
-                                2 if tp is Bang and type(v.body) in _LEAVES else
-                                _lookup_steps(store, v, cfg))
-                if tp is MFunVal and cfg.checked:
-                    _check_loc(store, v.loc)
-            else:
-                v = body_c(fr, cfg, store)
+            cfg.stats.steps += 1
+            v = body_c(fr, cfg, store)
             if held is not None:
                 return fr[held]
             return Bang(v)
         return ev
-    body_c = _compile_term(t.body, vs, rs, unit)
     types = (t.rec_type,) if tp is Roll else (t.left_type, t.right_type)
 
     def ev(fr, cfg, store):
@@ -505,21 +465,11 @@ def _term_box(t: Box, vs, rs, unit):
 
 
 def _term_unbox(t: Unbox, vs, rs, unit):
-    body_c, slot = _operand(t.body, vs, rs, unit)
+    body_c = _compile_term(t.body, vs, rs, unit)
 
     def ev(fr, cfg, store):
-        stats = cfg.stats
-        stats.steps += 1
-        if body_c is None:
-            v = fr[slot]
-            tp = type(v)
-            stats.steps += (1 if tp in _ATOMS else
-                            2 if tp is Bang and type(v.body) in _LEAVES else
-                            _lookup_steps(store, v, cfg))
-            if tp is MFunVal and cfg.checked:
-                _check_loc(store, v.loc)
-        else:
-            v = body_c(fr, cfg, store)
+        cfg.stats.steps += 1
+        v = body_c(fr, cfg, store)
         if type(v) is not BoxVal:
             raise Stuck("unbox of a non-box value")
         return store.boxes[v.tag]
@@ -559,24 +509,14 @@ def _term_case(t: TermCase, vs, rs, unit):
 
 
 def _term_split(t: TermSplit, vs, rs, unit):
-    scrut_c, scrut_slot = _operand(t.scrut, vs, rs, unit)
+    scrut_c = _compile_term(t.scrut, vs, rs, unit)
     left_slot, right_slot = unit.slot(), unit.slot()
     body_c = _compile_term(t.body, vs, {**rs, t.left_name: left_slot,
                                         t.right_name: right_slot}, unit)
 
     def ev(fr, cfg, store):
-        stats = cfg.stats
-        stats.steps += 1
-        if scrut_c is None:
-            v = fr[scrut_slot]
-            tp = type(v)
-            stats.steps += (1 if tp in _ATOMS else
-                            2 if tp is Bang and type(v.body) in _LEAVES else
-                            _lookup_steps(store, v, cfg))
-            if tp is MFunVal and cfg.checked:
-                _check_loc(store, v.loc)
-        else:
-            v = scrut_c(fr, cfg, store)
+        cfg.stats.steps += 1
+        v = scrut_c(fr, cfg, store)
         if type(v) is not Pair:
             raise Stuck("split of a non-pair value")
         fr[left_slot] = v.left
@@ -652,7 +592,7 @@ def _expr_return(e: Return, vs, rs, unit):
 
 
 def _expr_let_bang(e: LetBang, vs, rs, unit):
-    scrut_c, scrut_slot = _operand(e.scrut, vs, rs, unit)
+    scrut_c = _compile_term(e.scrut, vs, rs, unit)
     slot = unit.slot()
     bang_slot = unit.bangs[slot] = unit.slot()
     body_c = _compile_expr(e.body, {**vs, e.name: slot}, rs, unit)
@@ -660,16 +600,7 @@ def _expr_let_bang(e: LetBang, vs, rs, unit):
     def ex(fr, cfg, store, branch):
         stats = cfg.stats
         stats.steps += 1
-        if scrut_c is None:
-            v = fr[scrut_slot]
-            tp = type(v)
-            stats.steps += (1 if tp in _ATOMS else
-                            2 if tp is Bang and type(v.body) in _LEAVES else
-                            _lookup_steps(store, v, cfg))
-            if tp is MFunVal and cfg.checked:
-                _check_loc(store, v.loc)
-        else:
-            v = scrut_c(fr, cfg, store)
+        v = scrut_c(fr, cfg, store)
         if type(v) is not Bang:
             raise Stuck("let ! of a non-bang value")
         inner = v.body
@@ -690,24 +621,14 @@ def _expr_let_bang(e: LetBang, vs, rs, unit):
 
 
 def _expr_let_pair(e: LetPair, vs, rs, unit):
-    scrut_c, scrut_slot = _operand(e.scrut, vs, rs, unit)
+    scrut_c = _compile_term(e.scrut, vs, rs, unit)
     left_slot, right_slot = unit.slot(), unit.slot()
     body_c = _compile_expr(e.body, vs, {**rs, e.left_name: left_slot,
                                         e.right_name: right_slot}, unit)
 
     def ex(fr, cfg, store, branch):
-        stats = cfg.stats
-        stats.steps += 1
-        if scrut_c is None:
-            v = fr[scrut_slot]
-            tp = type(v)
-            stats.steps += (1 if tp in _ATOMS else
-                            2 if tp is Bang and type(v.body) in _LEAVES else
-                            _lookup_steps(store, v, cfg))
-            if tp is MFunVal and cfg.checked:
-                _check_loc(store, v.loc)
-        else:
-            v = scrut_c(fr, cfg, store)
+        cfg.stats.steps += 1
+        v = scrut_c(fr, cfg, store)
         if type(v) is not Pair:
             raise Stuck("let* of a non-pair value")
         fr[left_slot] = v.left

@@ -42,7 +42,9 @@ shapes share one code object. Factories are cached by their source
 text in a bounded module-level cache, and `compile()` runs once per
 shape and process. That holds even when each run parses or compiles
 its program afresh. A body nested deeper than `MAX_DEPTH` stays on the
-closures, since Python allows at most 100 indentation levels.
+closures, since Python allows at most 100 indentation levels. So does a
+body with a free name or an operator that has no rule: it is stuck, and
+the closures raise the error.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ _lock = threading.Lock()
 
 
 class _NoCode(Exception):
-    """The body nests too deep, or holds a node no rule generates."""
+    """The body nests too deep, or holds a node no rule generates: one
+    the generator does not know, a free name or an operator with no
+    rule. The last two are stuck, and no typechecked body holds them."""
 
 
 def generate(site) -> "object | None":
@@ -172,11 +176,10 @@ class _Gen:
             self.emit(f"if {self.maxlen}>S.max_branch_len:S.max_branch_len={self.maxlen}")
         self.steps = self.events = self.boxes = self.maxlen = 0
 
-    def fail(self, cond: "str | None", error: str) -> None:
-        """Raise `error` when `cond` holds (always when it is None),
-        having added the summed charges on the raise's line."""
-        line = ";".join([*self.pending(), f"raise {error}"])
-        self.emit(line if cond is None else f"if {cond}:{line}")
+    def fail(self, cond: str, error: str) -> None:
+        """Raise `error` when `cond` holds, having added the summed
+        charges on the raise's line."""
+        self.emit(f"if {cond}:" + ";".join([*self.pending(), f"raise {error}"]))
 
     def const(self, value) -> str:
         self.consts.append(value)
@@ -244,11 +247,8 @@ class _Gen:
 
     def read(self, t, vs, rs):
         x = (vs if type(t) is Var else rs).get(t.name)
-        if x is None:
-            kind = "variable" if type(t) is Var else "resource"
-            self.steps += 1
-            self.fail(None, f"Stuck({self.const(f'free {kind} {t.name!r} at run time')})")
-            return "None", None
+        if x is None:  # a free name
+            raise _NoCode
         ty = self.known.get(x)
         if ty in _ATOM_TYPES or ty is _INDEXED:
             self.steps += 1
@@ -377,12 +377,7 @@ class _Gen:
             out = self.hold_name()
             self.emit(f"{out}=IntLit(_div({a},{b}))")
             return out, IntLit
-        # no rule: stuck once the operands are evaluated
-        self.steps += 1
-        for a in args:
-            self.hold(self.term(a, vs, rs)[0])
-        self.fail(None, f"Stuck({f'no rule for operator {op!r} on {len(args)} operand(s)'!r})")
-        return "None", None
+        raise _NoCode  # an operator with no rule
 
     def pair(self, t: Pair, vs, rs):
         self.steps += 1

@@ -9,8 +9,8 @@ from mfl.eval_memo import EvalConfig, eval_expr, eval_term, run_program
 from mfl.memostore import Store
 from mfl.parser import parse, parse_expr, parse_term
 from mfl.syntax import (
-    INT, Apply, Bang, IntLit, LetPair, MFunVal, Pair, PrimOp, Program, Res,
-    Return, Var, erase, term_eq,
+    INT, Apply, Bang, IntLit, LetBang, LetPair, MFunVal, Pair, PrimOp, Program,
+    Res, Return, TermSplit, Unbox, Var, erase, term_eq,
 )
 
 IDENTITY_SRC = "mfun f (a : !int) : int is let !x = a in return x end end"
@@ -324,6 +324,37 @@ def test_stuck_on_applying_function_value_no_evaluation_made(allocated):
     else:  # checked mode finds the unallocated location first
         with pytest.raises(InternalInvariantError):
             eval_term(store, term, fresh())
+
+
+_F = Res("f")
+
+
+@pytest.mark.parametrize("site, steps", [
+    (_F, 6),
+    (Apply(_F, IntLit(1)), 7),
+    (Bang(_F), 7),
+    (Unbox(_F), 7),
+    (TermSplit(_F, "a", "b", IntLit(0)), 7),
+    (LetBang("x", None, _F, Return(IntLit(0))), 7),
+    (LetPair("a", None, "b", None, _F, Return(IntLit(0))), 7),
+], ids=["name", "apply", "bang", "unbox", "split", "let-bang", "let-star"])
+def test_checked_name_read_of_a_function_value_checks_its_table(site, steps):
+    # `f` is bound by a split to a hand-built function value at an
+    # unallocated location, taken from a box so that no value node checks
+    # it first; each operand site reads `f` and fails after the site's
+    # step and the read's (the split, the pair, the unbox, the box and
+    # the 0 take 5)
+    store = Store()
+    boxed = store.alloc_box(MFunVal(99, "g", "a", INT, INT, Return(IntLit(1))))
+    scrut = Pair(Unbox(boxed), IntLit(0))
+    cfg = fresh()
+    with pytest.raises(InternalInvariantError, match="unallocated location 99"):
+        if type(site) in (LetBang, LetPair):
+            eval_expr(store, store.alloc_table(), [],
+                      LetPair("f", None, "z", None, scrut, site), cfg)
+        else:
+            eval_term(store, TermSplit(scrut, "f", "z", site), cfg)
+    assert cfg.stats.steps == steps
 
 
 @pytest.mark.parametrize("mode, checked", [("normal", False), ("normal", True),

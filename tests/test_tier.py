@@ -10,11 +10,14 @@ import mfl.eval_memo as eval_memo
 import mfl.memostore as memostore
 import mfl.tier as tier
 from mfl.corpus import decode_int_list, load
-from mfl.errors import MflError
+from mfl.errors import MflError, Stuck
 from mfl.eval_memo import EvalConfig, eval_term, run_program
 from mfl.memostore import Store
 from mfl.parser import parse
-from mfl.syntax import Apply, Bang, IntLit, Pair, Program, UnitLit
+from mfl.syntax import (
+    INT, Apply, Bang, IntLit, LetBang, MFun, Pair, PrimOp, Program, Res, Return,
+    TBang, UnitLit, Var,
+)
 
 GENERATED = "<mfl generated body>"
 
@@ -136,6 +139,24 @@ def test_body_past_the_nesting_cap_stays_on_closures(hot):
     assert site.run is site.cold
     assert _outcome(parse(src)) == cold
     assert cold[0] == repr(IntLit(2 * depth + 3))
+
+
+@pytest.mark.parametrize("body", [
+    PrimOp("+", (Var("x"), Var("y"))),
+    PrimOp("xor", (Var("x"), IntLit(1))),
+], ids=["free-variable", "operator-with-no-rule"])
+def test_stuck_body_stays_on_closures(hot, body):
+    # only an untypechecked body reaches a free name or an operator with
+    # no rule; it is stuck, and the closures raise the error
+    hot(0)
+    fun = MFun("f", "a", TBang(INT), INT, LetBang("x", None, Res("a"), Return(body)))
+    cfg, store = EvalConfig(), Store()
+    g = run_program(Program([("g", fun)], UnitLit()), cfg, store).decl_values["g"]
+    with pytest.raises(Stuck):
+        eval_term(store, Apply(g, Bang(IntLit(4))), cfg)
+    site = _site(g)
+    assert site.left == 0  # the site has switched
+    assert site.run is site.cold
 
 
 _BODY = ("val g = mfun f (a : !int) : int is let !x = a in return {body} end end "
