@@ -407,18 +407,15 @@ def _term_wrap(t, vs, rs, unit):
     # Bang, Inl, Inr, Roll around a body that is not a value
     tp = type(t)
     body_c = _compile_term(t.body, vs, rs, unit)
-    if tp is Bang:
-        # `!x` of a `let !`-bound x is the bang that `let !` took apart
-        held = unit.bangs.get(vs.get(t.body.name)) if type(t.body) is Var else None
-
+    # `!x` of a `let !`-bound x is the bang that `let !` took apart
+    held = unit.bangs.get(vs.get(t.body.name)) if tp is Bang and type(t.body) is Var else None
+    if held is not None:
         def ev(fr, cfg, store):
             cfg.stats.steps += 1
-            v = body_c(fr, cfg, store)
-            if held is not None:
-                return fr[held]
-            return Bang(v)
+            body_c(fr, cfg, store)
+            return fr[held]
         return ev
-    types = (t.rec_type,) if tp is Roll else (t.left_type, t.right_type)
+    types = () if tp is Bang else (t.rec_type,) if tp is Roll else (t.left_type, t.right_type)
 
     def ev(fr, cfg, store):
         cfg.stats.steps += 1
