@@ -11,7 +11,9 @@ prints one JSON object: the bytecodes executed and the Python functions
 entered, per operation. They are counted on the thread that runs the
 operation: the calling thread, and the deep-stack worker for the part of
 the operation handed to it. Every outcome is checked as the benchmark
-checks it.
+checks it. The object also gives `generated_source_bytes`: the summed
+length of the generated tier's sources (`mfl.tier._factories`) after
+the warm-up round, that is, of the bodies the workload turns hot.
 
 Unlike a timing, the counts do not depend on the host, so two checkouts
 can be compared on them where process pairs are too noisy to tell: run
@@ -102,6 +104,7 @@ def main(argv) -> int:
         null = NullTracer()
         for item in inputs:
             workload.check(item, workload.op(m, null, item))
+        source_bytes = sum(map(len, m.eval_memo.tier._factories))
         counter = Counter()
         counted = SimpleNamespace(**vars(m))
         counted.deepcall = CountedDeepcall(m.deepcall, counter)
@@ -110,7 +113,8 @@ def main(argv) -> int:
             workload.check(item, counter.run(workload.op, counted, null, item))
     print(json.dumps({"checkout": str(checkout), "workload": name, "ops": n,
                       "bytecodes_per_op": round(counter.bytecodes / n, 1),
-                      "calls_per_op": round(counter.calls / n, 1)}))
+                      "calls_per_op": round(counter.calls / n, 1),
+                      "generated_source_bytes": source_bytes}))
     return 0
 
 

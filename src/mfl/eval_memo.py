@@ -37,21 +37,23 @@ that no evaluation made has no code, and applying it is stuck.
 
 Function bodies have a second tier (Hölzle & Ungar 1994). A site's
 cell counts its activations, and after `HOT_CALLS` of them the body is
-generated as the source of one Python function (`mfl.tier`), with the
-frame's slots as Python locals and every node inlined. From then on,
-runs of the plain policy (`EvalConfig.plain`: normal mode, unchecked,
-untraced) call that function; other policies, top-level terms,
-`eval_term` and `eval_expr` stay on the closures. One test per
-activation selects the tier, and a cold activation pays only a counter
-test and decrement beyond it. Values made before the switch reach the
-new code, since theirs is the cell. Two tiers, not one, because
-`compile()` costs 15 to 25 µs per generated line, 0.6 to 1.8 ms per
-quicksort body (Python 3.11), while most programs run few activations:
-over 200 `perfbench:fuzz:1:<i>` programs, a whole `diff_check` made a
-median of 8 and at most 27, so with `HOT_CALLS = 32` none of them
-leaves the closures. Generated factories are cached by their source
-text, which names no per-run value, so a program parsed or compiled
-afresh reuses the code object.
+generated as one Python function (`mfl.tier`). From then on, runs of
+the plain policy (`EvalConfig.plain`: normal mode, unchecked, untraced)
+call that function; other policies and top-level terms stay on the
+closures. Values made before the switch reach the new code, since
+theirs is the cell. Two tiers, not one, because `compile()` costs 0.6
+to 1.8 ms per quicksort body (Python 3.11), while most programs run few
+activations: over 200 `perfbench:fuzz:1:<i>` programs, a whole
+`diff_check` made a median of 8 and at most 27.
+
+Only bodies of `mfun` terms that passed the typechecker are generated,
+from their static types, and test nothing at run time; an untyped body
+stays on the closures. Untyped code (`eval_term`, `eval_expr`, an
+unchecked program) checks each argument it gives a typed body, and each
+value a typed function it makes captures, against its static type
+(`_fits`). A misfit marks the store `ill_typed`, and no later run on it
+enters generated code: a memo entry made from ill-typed input is never
+read by code that trusts its types.
 
 Bindings live in a frame, one list per activation: the compiler gives
 every binder of a body its own slot and resolves each name occurrence
@@ -76,17 +78,15 @@ both functions are `memostore`'s own; one generated while either is
 replaced calls it, so an interceptor installed before a program is
 compiled sees every lookup and insert of its runs.
 
-A `let !` keeps the bang it took apart in a frame slot of its own, and
-`!x` of its binder returns that bang rather than a new one.
+A `let !` whose binder some `!x` reads keeps the bang it took apart in
+a frame slot of its own, and that `!x` returns the bang, not a new one.
 
 Every name occurrence compiles to the one closure of `_compile_name`,
 whichever node it is the operand of, and that closure charges the read:
 one step for a one-node value, two for a banged leaf and `_lookup_steps`
 for the rest; then, in checked mode, a bare function value's table is
-checked, after its step is charged. The generated tier builds its reads
-from the same rule (`tier._read_charge`). No node reads a name operand
-itself to save the call: hot bodies run generated, and the closures
-read too few names for it to pay. A node charges its own step
+checked, after its step is charged. The generated tier charges the
+same count, from the name's static type. A node charges its own step
 before it runs its operands, and every charge is added before anything
 raises, so the counters at a failure are those of the substitution
 rules too.
@@ -95,6 +95,7 @@ rules too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import SimpleNamespace
 
 from .errors import DepthExceeded, DivisionByZero, InternalInvariantError, Stuck
@@ -104,8 +105,9 @@ from .stats import EvalStats
 from .syntax import (
     Apply, Bang, Box, BoxVal, Expr, IntLit, Inl, Inr, KeyOf, LetBang,
     LetPair, MCase, MFun, MFunVal, Pair, PrimOp, Program, Res, Return,
-    Roll, Term, TermCase, TermSplit, UNIT, UnitLit, Unbox, Unroll, Var,
-    free_names, free_resources, subst,
+    Roll, TArrow, TBang, TBox, TInt, TProd, TRec, TSum, TUnit, Term,
+    TermCase, TermSplit, Type, UNIT, UnitLit, Unbox, Unroll, Var,
+    free_names, free_resources, subst, type_eq, unroll_type,
 )
 
 _SUM_UNIT_FALSE = Inl(UnitLit(), UNIT, UNIT)
@@ -239,6 +241,44 @@ def _value_size(t: Term, funs: list, before: int = 0) -> "int | None":
     return None
 
 
+_unroll = lru_cache(maxsize=64)(unroll_type)  # types compare by identity
+# the value nodes of each type
+_SHAPES = {TInt: (IntLit,), TUnit: (UnitLit,), TBox: (BoxVal,), TBang: (Bang,), TRec: (Roll,),
+           TProd: (Pair,), TSum: (Inl, Inr), TArrow: (MFunVal, MFun)}
+
+
+def _fits(store: Store, v: Term, ty: Type) -> bool:
+    """Whether the value `v` has the type `ty`. Boxes are followed
+    through the store; one whose contents fit once is not looked at
+    again for that type, since boxes never change. A function value fits
+    if its site is typed, and so has code, with a type equal to `ty`."""
+    found: dict = {}
+    todo = [(v, ty)]
+    while todo:
+        v, ty = todo.pop()
+        tt = type(ty)
+        if type(v) not in _SHAPES.get(tt, ()):
+            return False
+        if tt is TBang or tt is TRec:
+            todo.append((v.body, ty.item if tt is TBang else _unroll(ty)))
+        elif tt is TProd:
+            todo += ((v.left, ty.left), (v.right, ty.right))
+        elif tt is TSum:
+            todo.append((v.body, ty.left if type(v) is Inl else ty.right))
+        elif tt is TBox:
+            if v.tag not in store.boxes:
+                return False
+            known = found.get(v.tag) or store.fits.get(v.tag)
+            if known is not ty.item and (known is None or not type_eq(known, ty.item)):
+                found[v.tag] = ty.item
+                todo.append((store.boxes[v.tag], ty.item))
+        elif tt is TArrow and (v.code is None or v.code[0].ty is None
+                               or not type_eq(v.code[0].ty, ty)):
+            return False
+    store.fits.update(found)
+    return True
+
+
 # --------------------------------------------------------------------------
 # The compiler
 #
@@ -247,20 +287,23 @@ def _value_size(t: Term, funs: list, before: int = 0) -> "int | None":
 # activation's frame. Slot 0 of a function body's frame holds the
 # function value, whose location names the memo table. `vs` and `rs` map
 # the variables and resources in scope to their frame slots; `unit`
-# counts the slots of the unit being compiled and knows which of them
-# hold values the function captured.
+# counts the slots of the unit being compiled, knows which of them hold
+# values the function captured, and whether the unit has passed the
+# typechecker (`typed`).
 # --------------------------------------------------------------------------
 
 
 class _Unit:
-    __slots__ = ("size", "captured", "sites", "bangs")
+    __slots__ = ("size", "captured", "sites", "bangs", "typed")
 
-    def __init__(self, size: int, captured: "range" = range(0)):
+    def __init__(self, size: int, captured: "range" = range(0), typed: bool = False):
         self.size = size
         self.captured = captured
+        self.typed = typed
         self.sites: "dict[MFun, _Site]" = {}
-        # the slot of each `let !` binder -> the slot of the bang it took apart
-        self.bangs: "dict[int, int]" = {}
+        # the slot of each `let !` binder -> the slot that keeps the bang
+        # it took apart, allocated by the first `!x` of the binder
+        self.bangs: "dict[int, int | None]" = {}
 
     def slot(self) -> int:
         self.size += 1
@@ -333,6 +376,7 @@ def _compile_name(name: str, slot: "int | None", kind: str):
 def _term_apply(t: Apply, vs, rs, unit):
     fn_c = _compile_term(t.fn, vs, rs, unit)
     arg_c = _compile_term(t.arg, vs, rs, unit)
+    untyped = not unit.typed
 
     def ev(fr, cfg, store):
         cfg.stats.steps += 1
@@ -342,6 +386,10 @@ def _term_apply(t: Apply, vs, rs, unit):
             raise _not_applicable(fn)
         site, tail = fn.code
         arg = arg_c(fr, cfg, store)
+        # the entry check of a typed body applied by untyped code
+        if (untyped and site.ty is not None and not store.ill_typed
+                and not _fits(store, arg, site.ty.arg)):
+            store.ill_typed = True
         if site.left:  # count down to the switch, inline: no extra call
             site.left -= 1
             if not site.left:
@@ -350,7 +398,8 @@ def _term_apply(t: Apply, vs, rs, unit):
         if cfg.depth > cfg.depth_limit:
             raise _too_deep(cfg)
         try:
-            return (site.run if cfg.plain else site.cold)([fn, arg, *tail], cfg, store, [])
+            return (site.run if cfg.plain and not store.ill_typed else site.cold)(
+                [fn, arg, *tail], cfg, store, [])
         finally:
             cfg.depth -= 1
     return ev
@@ -407,9 +456,12 @@ def _term_wrap(t, vs, rs, unit):
     # Bang, Inl, Inr, Roll around a body that is not a value
     tp = type(t)
     body_c = _compile_term(t.body, vs, rs, unit)
-    # `!x` of a `let !`-bound x is the bang that `let !` took apart
-    held = unit.bangs.get(vs.get(t.body.name)) if tp is Bang and type(t.body) is Var else None
-    if held is not None:
+    # `!x` of a `let !`-bound x is the bang that `let !` took apart, kept
+    # in a slot that the first such `!x` allocates
+    slot = vs.get(t.body.name) if tp is Bang and type(t.body) is Var else None
+    if slot in unit.bangs:
+        held = unit.bangs[slot] = unit.bangs[slot] or unit.slot()
+
         def ev(fr, cfg, store):
             cfg.stats.steps += 1
             body_c(fr, cfg, store)
@@ -428,11 +480,22 @@ def _term_mfun(t: MFun, vs, rs, unit):
     vnames = tuple(name for name in vs if name in free)
     rnames = tuple(name for name in rs if name in free)
     slots = tuple(vs[name] for name in vnames) + tuple(rs[name] for name in rnames)
-    site = unit.sites[t] = _Site(vnames, rnames)
+    site = unit.sites[t] = _Site(vnames, rnames, t.ctx and t.ctx[0][t.fname])
+    # made by untyped code, a typed function checks what it captures
+    # against the types it was checked at
+    checks = ()
+    if t.ctx is not None and not unit.typed:
+        gamma, delta = t.ctx
+        checks = [(i, ty) for i, ty in enumerate([*map(gamma.get, vnames), *map(delta.get, rnames)])
+                  if ty is not None]
 
     def ev(fr, cfg, store):
         cfg.stats.steps += 1
-        return site.value(t, tuple([fr[slot] for slot in slots]), cfg, store)
+        captured = tuple([fr[slot] for slot in slots])
+        if checks and not store.ill_typed and not all(
+                _fits(store, captured[i], ty) for i, ty in checks):
+            store.ill_typed = True
+        return site.value(t, captured, cfg, store)
     return ev
 
 
@@ -591,8 +654,9 @@ def _expr_return(e: Return, vs, rs, unit):
 def _expr_let_bang(e: LetBang, vs, rs, unit):
     scrut_c = _compile_term(e.scrut, vs, rs, unit)
     slot = unit.slot()
-    bang_slot = unit.bangs[slot] = unit.slot()
+    unit.bangs[slot] = None
     body_c = _compile_expr(e.body, {**vs, e.name: slot}, rs, unit)
+    bang_slot = unit.bangs.pop(slot)  # None unless some `!x` reads the binder
 
     def ex(fr, cfg, store, branch):
         stats = cfg.stats
@@ -612,7 +676,8 @@ def _expr_let_bang(e: LetBang, vs, rs, unit):
             if cfg.trace:
                 stats.events.append(("event", fr[0].loc, event))
         fr[slot] = inner
-        fr[bang_slot] = v
+        if bang_slot is not None:
+            fr[bang_slot] = v
         return body_c(fr, cfg, store, branch)
     return ex
 
@@ -669,14 +734,14 @@ _EXPR_COMPILERS = {
 }
 
 
-def _compile_body(fn, vnames: tuple, rnames: tuple) -> tuple:
+def _compile_body(fn, vnames: tuple, rnames: tuple, typed: bool) -> tuple:
     """Compile the body of the function term `fn`, which captures the
-    variables `vnames` and the resources `rnames`. Returns the compiled
-    body, its frame padding and the sites of its `mfun` terms. The
-    frame holds the function value in slot 0, its argument in slot 1,
-    then the captured values in order."""
+    variables `vnames` and the resources `rnames`, as a typed unit or
+    not. Returns the compiled body, its frame padding and the sites of
+    its `mfun` terms. The frame holds the function value in slot 0, its
+    argument in slot 1, then the captured values in order."""
     ncap = len(vnames) + len(rnames)
-    unit = _Unit(2 + ncap, range(2, 2 + ncap))
+    unit = _Unit(2 + ncap, range(2, 2 + ncap), typed)
     vs = {name: 2 + i for i, name in enumerate(vnames)}
     rs = {name: 2 + len(vnames) + i for i, name in enumerate(rnames)}
     vs[fn.fname] = 0
@@ -687,22 +752,23 @@ def _compile_body(fn, vnames: tuple, rnames: tuple) -> tuple:
 
 class _Site:
     """An `mfun` site: the variables `vnames` and resources `rnames` its
-    body captures, and the body's code, compiled when the site makes its
-    first value. `cold` is the body as closures, which every policy
-    runs. `run` is what plain runs call: `cold` until the site has had
+    body captures, the function's type `ty` if the site is typed (else
+    None), and the body's code, compiled when the site makes its first
+    value. `cold` is the body as closures, which every policy runs.
+    `run` is what plain runs call: `cold` until the site has had
     `HOT_CALLS` activations, then the generated function, unless the
     body cannot be generated. `left` counts the activations down to
     that switch and then stays 0. `sites` maps the body's own `mfun`
-    terms to their sites. The site keeps the function term's body and
-    names but not the term: a pure value is the term itself, and its
-    code points here, so a reference back would be a cycle that
-    outlives the run."""
+    terms to their sites. The site keeps the function term's body,
+    names and checked contexts (`ctx`) but not the term: a pure value is
+    the term itself, and its code points here, so a reference back would
+    be a cycle that outlives the run."""
 
-    __slots__ = ("vnames", "rnames", "fname", "arg", "body", "cold", "run", "pad",
-                 "sites", "left")
+    __slots__ = ("vnames", "rnames", "ty", "fname", "arg", "body", "ctx", "cold", "run",
+                 "pad", "sites", "left")
 
-    def __init__(self, vnames: tuple, rnames: tuple):
-        self.vnames, self.rnames = vnames, rnames
+    def __init__(self, vnames: tuple, rnames: tuple, ty: "TArrow | None"):
+        self.vnames, self.rnames, self.ty = vnames, rnames, ty
         self.cold = self.run = None
         self.left = HOT_CALLS + 1
 
@@ -710,9 +776,10 @@ class _Site:
         """The value of the function term `t` made at this site, closing
         its body over the `captured` values (variables, then resources)."""
         if self.cold is None:
-            self.cold, self.pad, self.sites = _compile_body(t, self.vnames, self.rnames)
+            self.cold, self.pad, self.sites = _compile_body(t, self.vnames, self.rnames,
+                                                            self.ty is not None)
             self.run = self.cold
-            self.fname, self.arg, self.body = t.fname, t.arg, t.body
+            self.fname, self.arg, self.body, self.ctx = t.fname, t.arg, t.body, t.ctx
         closed, code = t, (self, self.pad)
         if captured:
             # a value is a closed term: substitute what the body captures
@@ -762,7 +829,7 @@ def compile_program(program: Program):
     result, `run(cfg, store)`, evaluates the declarations in order and
     then main, and returns main's value and the declared values by name.
     The code holds no state of a run, so it runs under every policy."""
-    unit = _Unit(0)
+    unit = _Unit(0, typed=program.ty is not None)
     vs: "dict[str, int]" = {}
     decls = []
     for name, term in program.decls:

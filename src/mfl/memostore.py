@@ -196,12 +196,17 @@ class Store:
 
     A store is confined to one evaluation. Independent evaluations get
     independent stores and may run concurrently.
+
+    `fits` (box tags whose contents fit a type, with the type) and
+    `ill_typed` belong to `eval_memo`'s check of values given typed code.
     """
 
     tables: "dict[int, MemoTable]" = field(default_factory=dict)
     boxes: "dict[int, Term]" = field(default_factory=dict)
     next_loc: int = 0
     next_tag: int = 0
+    fits: "dict[int, object]" = field(default_factory=dict)
+    ill_typed: bool = False
 
     def alloc_table(self) -> int:
         loc = self.next_loc

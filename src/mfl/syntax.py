@@ -256,7 +256,9 @@ class MFun(Term):
     """Memoized function term; `fname` is the self-reference (a variable),
     `arg` the parameter (a resource). Under the pure policy it is also a
     function value, and `code` then holds its compiled body and frame
-    tail; like `fvs`, it is a cache that structural operations ignore."""
+    tail; like `fvs`, it is a cache that structural operations ignore.
+    So is `ctx`: the contexts the checker checked the body under, which
+    type the function, its argument and what it captures, or None."""
 
     fname: str
     arg: str
@@ -266,6 +268,7 @@ class MFun(Term):
     pos: Optional[Pos] = None
     fvs: "frozenset[str] | None" = None
     code: "tuple | None" = field(default=None, repr=False)
+    ctx: "tuple | None" = field(default=None, repr=False)
 
 
 @dataclass(slots=True, eq=False)
@@ -371,7 +374,10 @@ class BoxVal(Term):
 
 @dataclass(slots=True, eq=False)
 class TermCase(Term):
-    """Term-level case; binds a resource per arm, records no event."""
+    """Term-level case; binds a resource per arm, records no event. On
+    each node that binds names, `ty` is a cache like `fvs`: the type the
+    checker found of the sum or pair taken apart (of the variable, for
+    `LetBang`), or None if the node has not passed the checker."""
 
     scrut: Term
     left_name: str
@@ -380,6 +386,7 @@ class TermCase(Term):
     right_arm: Term
     pos: Optional[Pos] = None
     fvs: "frozenset[str] | None" = None
+    ty: "Type | None" = field(default=None, repr=False)
 
 
 @dataclass(slots=True, eq=False)
@@ -392,6 +399,7 @@ class TermSplit(Term):
     body: Term
     pos: Optional[Pos] = None
     fvs: "frozenset[str] | None" = None
+    ty: "Type | None" = field(default=None, repr=False)
 
 
 @dataclass(slots=True, eq=False)
@@ -413,6 +421,7 @@ class LetBang(Expr):
     body: Expr
     pos: Optional[Pos] = None
     fvs: "frozenset[str] | None" = None
+    ty: "Type | None" = field(default=None, repr=False)
 
 
 @dataclass(slots=True, eq=False)
@@ -427,6 +436,7 @@ class LetPair(Expr):
     body: Expr
     pos: Optional[Pos] = None
     fvs: "frozenset[str] | None" = None
+    ty: "Type | None" = field(default=None, repr=False)
 
 
 @dataclass(slots=True, eq=False)
@@ -442,6 +452,7 @@ class MCase(Expr):
     right_arm: Expr
     pos: Optional[Pos] = None
     fvs: "frozenset[str] | None" = None
+    ty: "Type | None" = field(default=None, repr=False)
 
 
 Node = Union[Term, Expr]
@@ -450,10 +461,12 @@ Node = Union[Term, Expr]
 @dataclass(slots=True, eq=False)
 class Program:
     """Top-level declarations plus a main term. Decl names are unique and
-    each decl may use only the names declared before it."""
+    each decl may use only the names declared before it. `ty` is main's
+    type once the program has passed the checker, else None."""
 
     decls: "list[tuple[str, Term]]"
     main: Term
+    ty: "Type | None" = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -473,19 +486,20 @@ class TypeContext:
 # --------------------------------------------------------------------------
 
 _FIELDS_CACHE: "dict[type, tuple[str, ...]]" = {}
+_CACHES = ("pos", "fvs", "code", "ty", "ctx")  # position and caches: no part of the structure
 
 
 def node_fields(cls: type) -> "tuple[str, ...]":
     fs = _FIELDS_CACHE.get(cls)
     if fs is None:
-        fs = tuple(f.name for f in fields(cls) if f.name not in ("pos", "fvs", "code"))
+        fs = tuple(f.name for f in fields(cls) if f.name not in _CACHES)
         _FIELDS_CACHE[cls] = fs
     return fs
 
 
 def term_eq(a: Node, b: Node, same_box=None) -> bool:
     """Structural equality of terms/expressions, ignoring positions and
-    the `fvs` and `code` caches.
+    the `fvs`, `code`, `ty` and `ctx` caches.
 
     Types embedded in nodes compare with `type_eq` (alpha-equivalence);
     locations compare literally, and so do box tags unless `same_box`

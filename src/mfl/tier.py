@@ -11,40 +11,41 @@ calls either tier the same way. It ignores `branch`, which is always
 empty on entry: the events of a path are known statically, so each
 `return` builds its branch from them.
 
-The generated code charges what the closures charge, and it raises the
-same errors with the same messages. Charges that cannot be observed
-before the next call or raise are summed, and the sum is added before
-that call or raise, or on the raise's own line. So the counters at any
-error are those of the closures.
+Only typed bodies are generated (`_Site.ty`), and their code is written
+from the types the checker left on the nodes, as in Tarditi et al.'s
+TIL (PLDI 1996). A typechecked body is never stuck (Milner 1978), and
+`eval_memo` enters one only with values of its types, so no operand is
+tested and no path raises `Stuck`. A name read charges the node count
+of its type as a constant: `int`, `unit`, a box and an arrow are one
+node, `!τ` one more than `τ`, a product one more than its sides
+together, and a sum whose sides have one size one more than that. Only
+a value of another type, such as an unboxed recursive one, is counted
+at run time, by `_lookup_steps`. A `let !` event reads `.value`, `.tag`
+or `index_of` as its binder's type says.
 
-A `return` walks its memo table inline: its branch has a length known
-here, so the lookup and the insert are straight-line code from
-`memostore.lookup_source` and `memostore.insert_source`, which charge
-the probes `mt_lookup` and `mt_insert` charge and call `mt_insert` for
-every insert but the common one. That saves two Python calls per
-return, where branches are short (1 or 2 events on the workloads). The
-code runs in `eval_memo`'s globals, where perfbench's tracer and the
-tests' mutants replace `mt_lookup` or `mt_insert`; a body generated
-while either is replaced calls them instead, as the closures do, so
-they see every lookup and insert. The two forms differ in source, so
-the cache keeps them apart.
+The generated code charges what the closures charge, and it raises the
+same errors with the same messages. Charges are summed and added
+before the next call or raise, so the counters at any error are those
+of the closures. A `return` walks its memo table inline, with
+straight-line code from `memostore.lookup_source` and
+`memostore.insert_source`, which charge what `mt_lookup` and
+`mt_insert` charge. The code runs in `eval_memo`'s globals, where
+perfbench's tracer and the tests' mutants replace `mt_lookup` or
+`mt_insert`; a body generated while either is replaced calls them
+instead, so they see every lookup and insert.
 
 As in the closures, `!x` of a `let !`-bound `x` is the bang that `let !`
-took apart, not a new `Bang` with the same body: the same value and the
-same charges, one allocation fewer. Both tiers do it, so a value's
-source position (`pos`, which `repr` shows and `term_eq` ignores) does
-not depend on the tier.
+took apart, kept only where some `!x` reads it: the same value and
+charges, one allocation fewer, and a value's `pos` that does not depend
+on the tier.
 
-The source depends only on the body's shape. Literal values, types,
-error messages that name a variable and the sites of nested `mfun`
-terms are passed to a factory as arguments `k0, k1, ...`. So equal
-shapes share one code object. Factories are cached by their source
-text in a bounded module-level cache, and `compile()` runs once per
-shape and process. That holds even when each run parses or compiles
-its program afresh. A body nested deeper than `MAX_DEPTH` stays on the
-closures, since Python allows at most 100 indentation levels. So does a
-body with a free name or an operator that has no rule: it is stuck, and
-the closures raise the error.
+The source depends only on the body's shape: literal values, types and
+the sites of nested `mfun` terms are passed to a factory as arguments
+`k0, k1, ...`. Factories are cached by their source text in a bounded
+module-level cache, so `compile()` runs once per shape and process,
+even when each run parses its program afresh. A body nested deeper than
+`MAX_DEPTH` stays on the closures, since Python allows at most 100
+indentation levels.
 """
 
 from __future__ import annotations
@@ -56,16 +57,14 @@ from .eval_memo import _VALUE_NODES, _value_size
 from . import memostore
 from .memostore import INL_EVENT, INR_EVENT, KIND_BANG, insert_source, lookup_source
 from .syntax import (
-    Apply, Bang, Box, BoxVal, IntLit, Inl, Inr, KeyOf, LetBang, LetPair,
-    MCase, MFun, MFunVal, Pair, PrimOp, Res, Return, Roll, TermCase,
-    TermSplit, UnitLit, Unbox, Unroll, Var,
+    Apply, Bang, Box, Inl, Inr, KeyOf, LetBang, LetPair, MCase, MFun,
+    Pair, PrimOp, Res, Return, Roll, TArrow, TBang, TBox, TInt, TProd, TSum,
+    TUnit, TermCase, TermSplit, Unbox, Unroll, Var, free_names,
 )
 
 MAX_DEPTH = 40     # nested terms a generated body may have
 CACHE_SIZE = 64    # factories kept, by source text
 
-_ATOM_TYPES = (IntLit, UnitLit, BoxVal, MFunVal, MFun)  # values of one node
-_INDEXED = object()  # a `let !` binder: an int, unit or box, once its event is made
 _COMPARE = frozenset(("<", "<=", "=="))  # operators that Python writes the same
 _ARITH = frozenset(("+", "-", "*"))
 
@@ -74,9 +73,8 @@ _lock = threading.Lock()
 
 
 class _NoCode(Exception):
-    """The body nests too deep, or holds a node no rule generates: one
-    the generator does not know, a free name or an operator with no
-    rule. The last two are stuck, and no typechecked body holds them."""
+    """The body is untyped, nests too deep, or holds a node no rule
+    generates."""
 
 
 def generate(site) -> "object | None":
@@ -105,13 +103,31 @@ def factory(src: str):
         return made
 
 
+def _size(ty) -> "int | None":
+    """The node count that every value of type `ty` has, or None if
+    values of `ty` differ in it."""
+    tt = type(ty)
+    if tt is TInt or tt is TUnit or tt is TBox or tt is TArrow:
+        return 1
+    if tt is TBang:
+        n = _size(ty.item)
+        return None if n is None else n + 1
+    if tt is TProd or tt is TSum:
+        left, right = _size(ty.left), _size(ty.right)
+        if left is None or right is None:
+            return None
+        if tt is TProd:
+            return left + right + 1
+        return left + 1 if left == right else None
+    return None  # a recursive type, or no type known
+
+
 class _Gen:
     """Writes one body. Names in the source: `S` the stats, `b<i>` the
     binders (each bound once on a path), `x<i>` temporaries (a stack,
     reused once consumed), `e<i>` branch events, `k<i>` the factory's
-    arguments, `t` the type of the value checked last, and `L`, `T`,
-    `B`, `F`, `C`, `P`, `c` and the memo walk's `W<i>` the scratch of a
-    `return`."""
+    arguments, and `L`, `T`, `B`, `F`, `C`, `P`, `c` and the memo walk's
+    `W<i>` the scratch of a `return`."""
 
     def __init__(self, site):
         self.site = site
@@ -122,9 +138,10 @@ class _Gen:
         self.nbind = 0
         self.ntemp = 0
         self.nevent = 0
-        self.known: "dict[str, type]" = {}  # locals whose value type is fixed
-        self.bangs: "dict[str, str]" = {}  # `let !` binder -> the bang it took apart
-        self.tvar = None  # the local whose type `t` holds
+        self.types: dict = {}  # the static type of each binder
+        self.ints: "dict[str, str]" = {}  # `IntLit(e)` written here -> the int `e`
+        self.scruts: "dict[str, str]" = {}  # `let !` binder -> the bang it took apart
+        self.bangs: "dict[str, str]" = {}  # `let !` binder -> the name that keeps its bang
         # walk the memo table inline, unless the memo store's functions
         # have been replaced in eval_memo (by a tracer or a mutant), which
         # then must see every lookup and insert
@@ -138,13 +155,18 @@ class _Gen:
 
     def source(self) -> str:
         site = self.site
+        if site.ty is None:
+            raise _NoCode
+        gamma, delta = site.ctx
         ncap = len(site.vnames) + len(site.rnames)
         binders = [self.bind() for _ in range(2 + ncap)]
         vs = dict(zip(site.vnames, binders[2:]))
         rs = dict(zip(site.rnames, binders[2 + len(site.vnames):]))
         vs[site.fname] = binders[0]
         rs[site.arg] = binders[1]
-        self.known[binders[0]] = MFunVal
+        self.types.update(zip(binders, [gamma[site.fname], delta[site.arg],
+                                        *map(gamma.get, site.vnames),
+                                        *map(delta.get, site.rnames)]))
         self.emit("S=cfg.stats;" + ";".join(f"{b}=fr[{i}]" for i, b in enumerate(binders)))
         self.expr(site.body, vs, rs, ())
         args = "".join(f"k{i}," for i in range(len(self.consts)))
@@ -154,40 +176,26 @@ class _Gen:
     def emit(self, line: str) -> None:
         self.lines.append(" " * self.ind + line)
 
-    def adds(self) -> "list[str]":
-        return [f"S.{name}+={n}" for name, n in (("steps", self.steps),
-                                                 ("branch_events", self.events),
-                                                 ("boxes_allocated", self.boxes)) if n]
-
-    def pending(self) -> "list[str]":
-        """The summed charges as simple statements, which a raise adds
-        on its own line."""
-        out = self.adds()
-        if self.maxlen:
-            out.append(f"S.max_branch_len=max(S.max_branch_len,{self.maxlen})")
-        return out
-
     def flush(self) -> None:
         """Add the summed charges, before a call that may raise."""
-        adds = self.adds()
+        adds = [f"S.{name}+={n}" for name, n in (("steps", self.steps),
+                                                 ("branch_events", self.events),
+                                                 ("boxes_allocated", self.boxes)) if n]
         if adds:
             self.emit(";".join(adds))
         if self.maxlen:
             self.emit(f"if {self.maxlen}>S.max_branch_len:S.max_branch_len={self.maxlen}")
         self.steps = self.events = self.boxes = self.maxlen = 0
 
-    def fail(self, cond: str, error: str) -> None:
-        """Raise `error` when `cond` holds, having added the summed
-        charges on the raise's line."""
-        self.emit(f"if {cond}:" + ";".join([*self.pending(), f"raise {error}"]))
-
     def const(self, value) -> str:
         self.consts.append(value)
         return f"k{len(self.consts) - 1}"
 
-    def bind(self) -> str:
+    def bind(self, ty=None) -> str:
         self.nbind += 1
-        return f"b{self.nbind - 1}"
+        b = f"b{self.nbind - 1}"
+        self.types[b] = ty
+        return b
 
     def hold(self, x: str) -> str:
         """`x` as a name that later statements cannot clobber."""
@@ -197,37 +205,29 @@ class _Gen:
         self.emit(f"{tmp}={x}")
         return tmp
 
-    def load_type(self, x: str) -> str:
-        """The statement that puts the type of `x` in `t`. Every write of
-        `t` is made by it, so `tvar` always names what `t` holds."""
-        self.tvar = x
-        return f"t=type({x})"
-
-    def type_of(self, x: str) -> str:
-        if self.tvar != x:
-            self.emit(self.load_type(x))
-        return "t"
+    def hold_name(self) -> str:
+        """A free temporary, which the caller assigns next."""
+        self.ntemp += 1
+        return f"x{self.ntemp - 1}"
 
     def state(self):
         return self.steps, self.events, self.boxes, self.maxlen, self.ntemp
 
     def restore(self, state) -> None:
         self.steps, self.events, self.boxes, self.maxlen, self.ntemp = state
-        self.tvar = None
 
     def nest(self, head: str):
         self.emit(head)
         self.ind += 1
-        self.tvar = None
         if self.ind > MAX_DEPTH + 2:
             raise _NoCode
 
-    # ---- terms: each returns (expression, its value's type or None) ----
+    # ---- terms: each returns an expression for its value ----
     #
     # The expression cannot raise: anything that can is emitted as a
     # statement. It stays valid until the caller emits its next term.
 
-    def term(self, t, vs: dict, rs: dict):
+    def term(self, t, vs: dict, rs: dict) -> str:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise _NoCode
@@ -237,7 +237,7 @@ class _Gen:
             if n is not None:
                 self.steps += n
                 self.depth -= 1
-                return self.const(t), tp
+                return self.const(t)
         rule = _TERM_RULES.get(tp)
         if rule is None:
             raise _NoCode
@@ -247,69 +247,37 @@ class _Gen:
 
     def read(self, t, vs, rs):
         x = (vs if type(t) is Var else rs).get(t.name)
-        if x is None:  # a free name
-            raise _NoCode
-        ty = self.known.get(x)
-        if ty in _ATOM_TYPES or ty is _INDEXED:
-            self.steps += 1
-            return x, None if ty is _INDEXED else ty
-        n, self.steps = self.steps, 0
-        self.emit(f"{self.load_type(x)};S.steps+={_read_charge(x, n)}")
-        return x, None
-
-    def name_of(self, t, vs, rs) -> "str | None":
-        """The local bound to `t`, if `t` is a name whose value has no
-        type known here."""
-        if type(t) is Var or type(t) is Res:
-            x = (vs if type(t) is Var else rs).get(t.name)
-            if x is not None and x not in self.known:
-                return x
-        return None
-
-    def split_pair(self, scrut, vs, rs, what: str):
-        """Evaluate the scrutinee of a `let*` or `split` and take it
-        apart: Stuck unless it is a pair. Returns the binders of its two
-        sides. A name is read before its type test, and charged on the
-        raise's line if it is no pair, or else from its sides, which
-        saves `_lookup_steps` a call when they are leaves or banged
-        leaves."""
-        left, right = self.bind(), self.bind()
-        x = self.name_of(scrut, vs, rs)
         if x is None:
-            base = self.ntemp
-            v, ty = self.term(scrut, vs, rs)
-            v = self.hold(v)
-            self.check(v, ty, Pair, what)
-            self.emit(f"{left}={v}.left;{right}={v}.right")
-            self.ntemp = base
-            return left, right
-        n, self.steps = self.steps, 0
-        self.emit(self.load_type(x))
-        self.emit(";".join([f"if t is not Pair:S.steps+={_read_charge(x, n)}",
-                            *self.pending(), f"raise Stuck({what!r})"]))
-        self.emit(f"{left}={x}.left;{right}={x}.right;S.steps+={n + 1}"
-                  f"+{_side_steps(left)}+{_side_steps(right)}")
-        return left, right
+            raise _NoCode
+        n = _size(self.types[x])
+        if n is not None:
+            self.steps += n
+        else:
+            n, self.steps = self.steps, 0
+            self.emit(f"S.steps+={f'{n}+' if n else ''}_lookup_steps(store,{x},cfg)")
+        return x
 
-    def check(self, x: str, ty, want: type, what: str) -> None:
-        """Stuck unless the value `x` (of static type `ty`) is a `want`."""
-        if ty is not want:
-            self.fail(f"{self.type_of(x)} is not {want.__name__}",
-                      f"Stuck({what!r})")
+    def split_pair(self, t, body, vs, rs) -> dict:
+        """Evaluate the scrutinee of a `let*` or `split` `t`, a pair, and
+        bind the sides that `body` reads. Returns `rs` with them."""
+        left, right = self.bind(t.ty.left), self.bind(t.ty.right)
+        base = self.ntemp
+        v = self.hold(self.term(t.scrut, vs, rs))
+        self.ntemp = base
+        used = free_names(body)
+        sides = [f"{b}={v}.{side}" for b, side, name in (
+            (left, "left", t.left_name), (right, "right", t.right_name)) if name in used]
+        if sides:
+            self.emit(";".join(sides))
+        return {**rs, t.left_name: left, t.right_name: right}
 
     def apply(self, t: Apply, vs, rs):
         self.steps += 1
         base = self.ntemp
-        f, ty = self.term(t.fn, vs, rs)
-        f = self.hold(f)
-        if f != "b0":  # the running function's own value has code
-            tt = self.type_of(f)
-            fun = "" if ty is MFunVal or ty is MFun else f"{tt} is not MFunVal and {tt} is not MFun"
-            self.fail(f"{fun} or {f}.code is None" if fun else f"{f}.code is None",
-                      f"_not_applicable({f})")
+        f = self.hold(self.term(t.fn, vs, rs))
         site, tail = self.hold_name(), self.hold_name()
         self.emit(f"{site},{tail}={f}.code")
-        arg, _ = self.term(t.arg, vs, rs)
+        arg = self.term(t.arg, vs, rs)
         self.flush()
         self.ntemp = base
         out = self.hold_name()
@@ -320,165 +288,122 @@ class _Gen:
         self.emit("if cfg.depth>cfg.depth_limit:raise _too_deep(cfg)")
         self.emit(f"try:{out}={site}.run([{f},{arg},*{tail}],cfg,store,[])")
         self.emit("finally:cfg.depth-=1")
-        return out, None
-
-    def keep(self, x: str) -> str:
-        """`x` as a name that stays valid to the end of the path: a
-        binder or a factory argument, or else a new binder (a temporary,
-        `x<i>`, is reused)."""
-        if x.isidentifier() and x[0] != "x":
-            return x
-        b = self.bind()
-        self.emit(f"{b}={x}")
-        return b
-
-    def hold_name(self) -> str:
-        """A free temporary, which the caller assigns next."""
-        tmp = f"x{self.ntemp}"
-        self.ntemp += 1
-        if self.tvar == tmp:
-            self.tvar = None
-        return tmp
+        return out
 
     def int_operands(self, t: PrimOp, vs, rs):
-        """Charge the operator and evaluate its two operands; Stuck
-        unless both are integers. Returns their Python ints."""
+        """Charge the operator and evaluate its two operands. Returns
+        their Python ints."""
         self.steps += 1
-        a, aty = self.term(t.args[0], vs, rs)
-        a = self.hold(a)
-        b, bty = self.term(t.args[1], vs, rs)
-        b = self.hold(b)
-        conds = [f"type({x}) is not IntLit" for x, ty in ((a, aty), (b, bty)) if ty is not IntLit]
-        if conds:
-            self.fail(" or ".join(conds),
-                      f"Stuck({f'operator {t.op!r} applied to a non-integer'!r})")
-        return f"{a}.value", f"{b}.value"
+        a = self.term(t.args[0], vs, rs)
+        a = self.hold(self.ints[a]) if a in self.ints else f"{self.hold(a)}.value"
+        return a, self.int_of(self.term(t.args[1], vs, rs))
+
+    def int_of(self, x: str) -> str:
+        """The Python int of the integer value `x`."""
+        return self.ints.get(x) or f"{x}.value"
+
+    def int_lit(self, e: str) -> str:
+        """An integer value of the Python int `e`."""
+        out = f"IntLit({e})"
+        self.ints[out] = f"({e})"
+        return out
 
     def primop(self, t: PrimOp, vs, rs):
         op, args = t.op, t.args
+        base = self.ntemp
         if op == "int2sum" and len(args) == 1:
             self.steps += 1
-            a, aty = self.term(args[0], vs, rs)
-            a = self.hold(a)
-            self.check(a, aty, IntLit, f"operator {op!r} applied to a non-integer")
-            return f"(_SUM_UNIT_TRUE if {a}.value!=0 else _SUM_UNIT_FALSE)", None
+            a = self.term(args[0], vs, rs)
+            self.ntemp = base
+            return f"(_SUM_UNIT_TRUE if {self.int_of(a)}!=0 else _SUM_UNIT_FALSE)"
         if len(args) == 2 and (op in _COMPARE or op in _ARITH):
-            base = self.ntemp
             a, b = self.int_operands(t, vs, rs)
             self.ntemp = base
-            if op in _COMPARE:
-                return f"IntLit(1 if {a}{op}{b} else 0)", IntLit
-            return f"IntLit({a}{op}{b})", IntLit
+            return self.int_lit(f"1 if {a}{op}{b} else 0" if op in _COMPARE else f"{a}{op}{b}")
         if len(args) == 2 and op == "div":
-            base = self.ntemp
             a, b = self.int_operands(t, vs, rs)
             self.flush()
             self.ntemp = base
             out = self.hold_name()
             self.emit(f"{out}=IntLit(_div({a},{b}))")
-            return out, IntLit
+            return out
         raise _NoCode  # an operator with no rule
 
     def pair(self, t: Pair, vs, rs):
         self.steps += 1
         base = self.ntemp
-        left = self.hold(self.term(t.left, vs, rs)[0])
-        right = self.term(t.right, vs, rs)[0]
+        left = self.hold(self.term(t.left, vs, rs))
+        right = self.term(t.right, vs, rs)
         self.ntemp = base
-        return f"Pair({left},{right})", Pair
+        return f"Pair({left},{right})"
 
     def wrap(self, t, vs, rs):
         tp = type(t)
         self.steps += 1
-        body = self.term(t.body, vs, rs)[0]
+        body = self.term(t.body, vs, rs)
         if tp is Bang:
-            if type(t.body) is Var and body in self.bangs:
-                return self.bangs[body], Bang
-            return f"Bang({body})", Bang
+            if type(t.body) is Var and body in self.scruts:
+                bang = self.bangs.get(body)
+                if bang is None:
+                    v = self.scruts[body]
+                    bang = self.bangs[body] = (v if v.isidentifier() and v[0] != "x"
+                                               else self.bind())
+                return bang
+            return f"Bang({body})"
         if tp is Roll:
-            return f"Roll({body},{self.const(t.rec_type)})", Roll
-        return f"{tp.__name__}({body},{self.const(t.left_type)},{self.const(t.right_type)})", tp
+            return f"Roll({body},{self.const(t.rec_type)})"
+        return f"{tp.__name__}({body},{self.const(t.left_type)},{self.const(t.right_type)})"
 
     def mfun(self, t: MFun, vs, rs):
         self.steps += 1
-        inner = self.site.sites.get(t)
-        if inner is None:
-            raise _NoCode
+        inner = self.site.sites[t]
         captured = [vs[name] for name in inner.vnames] + [rs[name] for name in inner.rnames]
         self.flush()
         out = self.hold_name()
         self.emit(f"{out}={self.const(inner)}.value({self.const(t)},"
                   f"({''.join(x + ',' for x in captured)}),cfg,store)")
-        return out, MFunVal
+        return out
 
-    def unroll(self, t: Unroll, vs, rs):
+    def body_of(self, t, vs, rs, fmt: str):
+        """A node with one operand, which needs no test: `fmt` around the
+        operand's value."""
         self.steps += 1
         base = self.ntemp
-        v, ty = self.term(t.body, vs, rs)
-        v = self.hold(v)
-        self.check(v, ty, Roll, "unroll of a non-rolled value")
+        v = self.term(t.body, vs, rs)
         self.ntemp = base
-        return f"{v}.body", None
+        return fmt.format(v)
 
     def box(self, t: Box, vs, rs):
         self.steps += 1
-        v = self.term(t.body, vs, rs)[0]
+        v = self.term(t.body, vs, rs)
         self.boxes += 1
-        self.flush()
         out = self.hold_name()
         self.emit(f"{out}=store.alloc_box({v})")
-        return out, BoxVal
-
-    def unbox(self, t: Unbox, vs, rs):
-        self.steps += 1
-        base = self.ntemp
-        v, ty = self.term(t.body, vs, rs)
-        v = self.hold(v)
-        self.check(v, ty, BoxVal, "unbox of a non-box value")
-        self.flush()
-        self.ntemp = base
-        out = self.hold_name()
-        self.emit(f"{out}=store.boxes[{v}.tag]")
-        return out, None
-
-    def keyof(self, t: KeyOf, vs, rs):
-        self.steps += 1
-        base = self.ntemp
-        v, ty = self.term(t.body, vs, rs)
-        v = self.hold(v)
-        self.check(v, ty, BoxVal, "keyof of a non-box value")
-        self.ntemp = base
-        return f"IntLit({v}.tag)", IntLit
+        return out
 
     def case(self, t: TermCase, vs, rs):
         self.steps += 1
         out = self.hold_name()
-        left, right = self.bind(), self.bind()
-        cond = self.sum_test(t.scrut, vs, rs)
-        for binder, arm, name, head, unit in (
-                (left, t.left_arm, t.left_name, cond[0], "_SUM_UNIT_FALSE"),
-                (right, t.right_arm, t.right_name, cond[1], "_SUM_UNIT_TRUE")):
+        arms = self.sum_test(t.scrut, t.ty, vs, rs)
+        for (head, binder, value), arm, name in zip(arms, (t.left_arm, t.right_arm),
+                                                    (t.left_name, t.right_name)):
             state = self.state()
-            self.nest(head)
-            binder = self.bound(binder, cond[2], unit)
-            v = self.term(arm, vs, {**rs, name: binder})[0]
+            self.arm(head, binder, value, name, arm)
+            v = self.term(arm, vs, {**rs, name: binder})
             self.flush()
             self.emit(f"{out}={v}")
             self.ind -= 1
             self.restore(state)
-        self.fail_else(cond[3], "case of a non-sum value")
         self.steps = self.events = self.boxes = self.maxlen = 0
-        self.tvar = None
-        return out, None
+        return out
 
-    def sum_test(self, scrut, vs, rs):
-        """Evaluate the scrutinee of a `case` or `mcase`. Returns the
-        heads of its two arms, the sum whose body an arm binds (None for
-        an `if`, whose arms bind the units of int2sum's sums), and
-        whether a value that is no sum can reach an `else`."""
+    def sum_test(self, scrut, ty, vs, rs):
+        """Evaluate the scrutinee of a `case` or `mcase`, a sum of type
+        `ty`. Returns, for each arm, its head, the binder it binds and
+        the binder's value; an `if`'s arms bind the units of the sums
+        int2sum returns, and need no binder of their own."""
         if type(scrut) is PrimOp and scrut.op == "int2sum" and len(scrut.args) == 1:
-            # `if`: test the integer, and bind the arms to the units of
-            # the sums int2sum returns
+            # `if`: test the integer
             self.steps += 1
             arg = scrut.args[0]
             if (type(arg) is PrimOp and len(arg.args) == 2
@@ -486,34 +411,24 @@ class _Gen:
                 a, b = self.int_operands(arg, vs, rs)
                 test = f"{a}{arg.op}{b}" if arg.op in _COMPARE else f"({a}{arg.op}{b})!=0"
             else:
-                a, aty = self.term(arg, vs, rs)
-                a = self.hold(a)
-                self.check(a, aty, IntLit, "operator 'int2sum' applied to a non-integer")
-                test = f"{a}.value!=0"
-            return (f"if not {test}:", "else:", None, False)
-        v, ty = self.term(scrut, vs, rs)
-        v = self.hold(v)
-        tt = self.type_of(v)
-        return (f"if {tt} is Inl:", f"elif {tt} is Inr:", v, True)
+                test = f"{self.int_of(self.term(arg, vs, rs))}!=0"
+            units = ("_SUM_UNIT_FALSE.body", "_SUM_UNIT_TRUE.body")
+            self.types.update(dict.fromkeys(units, ty.left))
+            return (f"if not {test}:", units[0], None), ("else:", units[1], None)
+        v = self.hold(self.term(scrut, vs, rs))
+        return ((f"if type({v}) is Inl:", self.bind(ty.left), f"{v}.body"),
+                ("else:", self.bind(ty.right), f"{v}.body"))
 
-    def bound(self, binder: str, source: "str | None", unit: str) -> str:
-        """Bind an arm's binder to the body of the sum `source`; for an
-        `if`, return the unit inside the sum int2sum returned."""
-        if source is None:
-            unit += ".body"
-            self.known[unit] = UnitLit
-            return unit
-        self.emit(f"{binder}={source}.body")
-        return binder
-
-    def fail_else(self, reachable: bool, what: str) -> None:
-        if reachable:
-            self.emit("else:" + ";".join([*self.pending(), f"raise Stuck({what!r})"]))
+    def arm(self, head: str, binder: str, value: "str | None", name: str, body) -> None:
+        """Open an arm of a sum test, and bind its binder to `name` if
+        the arm's `body` reads it."""
+        self.nest(head)
+        if value is not None and name in free_names(body):
+            self.emit(f"{binder}={value}")
 
     def split(self, t: TermSplit, vs, rs):
         self.steps += 1
-        left, right = self.split_pair(t.scrut, vs, rs, "split of a non-pair value")
-        return self.term(t.body, vs, {**rs, t.left_name: left, t.right_name: right})
+        return self.term(t.body, vs, self.split_pair(t, t.body, vs, rs))
 
     # ---- expressions: each ends every path with a return ----
 
@@ -545,7 +460,7 @@ class _Gen:
             self.emit(f"B=[{','.join(events)}];F,C=mt_lookup(T,B,S)")
             self.emit(f"if F:{hit};return C")
         self.emit("S.memo_misses+=1;P=S.per_table;c=P.get(L) or P.setdefault(L,[0,0]);c[1]+=1")
-        v = self.hold(self.term(e.body, vs, rs)[0])
+        v = self.hold(self.term(e.body, vs, rs))
         self.flush()
         if self.inline:
             for line in insert_source(list(events), v):
@@ -556,66 +471,46 @@ class _Gen:
 
     def let_bang(self, e: LetBang, vs, rs, events):
         self.steps += 1
-        b = self.bind()
+        b = self.bind(e.ty)
         base = self.ntemp
-        v, ty = self.term(e.scrut, vs, rs)
-        v = self.keep(v)
-        self.check(v, ty, Bang, "let ! of a non-bang value")
+        v = self.scruts[b] = self.term(e.scrut, vs, rs)
         self.ntemp = base
-        self.emit(f"{b}={v}.body;{self.load_type(b)}")
-        self.known[b] = _INDEXED
-        self.bangs[b] = v
         ev = f"e{self.nevent}"
         self.nevent += 1
-        self.flush()
-        tb = self.type_of(b)
-        self.emit(f"{ev}=({KIND_BANG},{b}.value if {tb} is IntLit else {b}.tag if {tb} is BoxVal "
-                  f"else index_of({b}))")
+        index = {TInt: f"{b}.value", TBox: f"{b}.tag"}.get(type(e.ty), f"index_of({b})")
+        at, ind = len(self.lines), self.ind
+        self.emit(f"{b}={v}.body;{ev}=({KIND_BANG},{index})")
         self.expr(e.body, {**vs, e.name: b}, rs, self.event(events, ev))
+        bang = self.bangs.get(b)
+        if bang is not None and bang != v:  # keep the bang for the `!x` that read it
+            self.lines[at] = " " * ind + f"{bang}={v};{b}={bang}.body;{ev}=({KIND_BANG},{index})"
 
     def let_pair(self, e: LetPair, vs, rs, events):
         self.steps += 1
-        left, right = self.split_pair(e.scrut, vs, rs, "let* of a non-pair value")
-        self.expr(e.body, vs, {**rs, e.left_name: left, e.right_name: right}, events)
+        self.expr(e.body, vs, self.split_pair(e, e.body, vs, rs), events)
 
     def mcase(self, e: MCase, vs, rs, events):
         self.steps += 1
-        left, right = self.bind(), self.bind()
-        cond = self.sum_test(e.scrut, vs, rs)
+        arms = self.sum_test(e.scrut, e.ty, vs, rs)
         outer = self.state()
-        for binder, arm, name, head, unit, code in (
-                (left, e.left_arm, e.left_name, cond[0], "_SUM_UNIT_FALSE", INL_EVENT),
-                (right, e.right_arm, e.right_name, cond[1], "_SUM_UNIT_TRUE", INR_EVENT)):
+        for (head, binder, value), arm, name, code in zip(arms, (e.left_arm, e.right_arm),
+                                                          (e.left_name, e.right_name),
+                                                          (INL_EVENT, INR_EVENT)):
             self.restore(outer)
-            self.nest(head)
-            binder = self.bound(binder, cond[2], unit)
+            self.arm(head, binder, value, name, arm)
             self.expr(arm, vs, {**rs, name: binder}, self.event(events, repr(code)))
             self.ind -= 1
         self.restore(outer)
-        self.fail_else(cond[3], "mcase of a non-sum value")
-
-
-def _read_charge(x: str, n: int, tx: str = "t") -> str:
-    """What reading the value `x` of type `tx` charges, plus `n`: the
-    closures' charge of a name read, one step for a one-node value, two
-    for a banged leaf, else `_lookup_steps`. Every read charge the
-    generated code makes is built here."""
-    return (f"{n + 1} if {tx} in _ATOMS else {n + 2} if {tx} is Bang and type({x}.body) in _LEAVES "
-            f"else {f'{n}+' if n else ''}_lookup_steps(store,{x},cfg)")
-
-
-def _side_steps(x: str) -> str:
-    """What `_lookup_steps` charges for the side `x` of a pair. Unchecked,
-    it is what reading `x` as a name charges."""
-    return f"({_read_charge(x, 0, f'type({x})')})"
 
 
 _TERM_RULES = {
     Var: _Gen.read, Res: _Gen.read, Apply: _Gen.apply, PrimOp: _Gen.primop,
     Pair: _Gen.pair, Bang: _Gen.wrap, Inl: _Gen.wrap, Inr: _Gen.wrap,
-    Roll: _Gen.wrap, MFun: _Gen.mfun, Unroll: _Gen.unroll, Box: _Gen.box,
-    Unbox: _Gen.unbox, KeyOf: _Gen.keyof, TermCase: _Gen.case,
+    Roll: _Gen.wrap, MFun: _Gen.mfun, Box: _Gen.box, TermCase: _Gen.case,
     TermSplit: _Gen.split,
+    Unroll: lambda gen, t, vs, rs: gen.body_of(t, vs, rs, "{}.body"),
+    Unbox: lambda gen, t, vs, rs: gen.body_of(t, vs, rs, "store.boxes[{}.tag]"),
+    KeyOf: lambda gen, t, vs, rs: gen.int_lit(gen.body_of(t, vs, rs, "{}.tag")),
 }
 _EXPR_RULES = {
     Return: _Gen.ret, LetBang: _Gen.let_bang, LetPair: _Gen.let_pair,

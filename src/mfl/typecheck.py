@@ -10,6 +10,10 @@ only ever bind further resources.
 
 Checking is syntax-directed and synthesizes the unique type of a node;
 optional binder annotations are verified against the synthesized type.
+
+The checker leaves what it found on the nodes for the generated tier
+(`mfl.tier`), one attribute write per binder: a binding node's `ty`, an
+`mfun` term's `ctx` and, once all of it has passed, a program's `ty`.
 """
 
 from __future__ import annotations
@@ -103,6 +107,8 @@ class _Checker:
             body_ty = self.expr(gamma2, delta2, banned2, t.body)
             if not type_eq(body_ty, t.res_type):
                 raise _mismatch(t.pos, t.res_type, body_ty, f"body of '{t.fname}'")
+            if tp is MFun:
+                t.ctx = (gamma2, delta2)
             return fun_ty
         if tp is Apply:
             fn_ty = self.term(gamma, delta, banned, t.fn)
@@ -182,6 +188,7 @@ class _Checker:
                     "Mismatch", t.pos,
                     f"case needs a sum type, found {format_type(scrut_ty)}",
                     found=scrut_ty)
+            t.ty = scrut_ty
             left_ty = self.term(gamma, {**delta, t.left_name: scrut_ty.left},
                                 _unban(banned, t.left_name), t.left_arm)
             right_ty = self.term(gamma, {**delta, t.right_name: scrut_ty.right},
@@ -196,6 +203,7 @@ class _Checker:
                     "Mismatch", t.pos,
                     f"split needs a product type, found {format_type(scrut_ty)}",
                     found=scrut_ty)
+            t.ty = scrut_ty
             delta2 = {**delta, t.left_name: scrut_ty.left, t.right_name: scrut_ty.right}
             return self.term(gamma, delta2,
                              _unban(banned, t.left_name, t.right_name), t.body)
@@ -219,6 +227,7 @@ class _Checker:
             under = scrut_ty.item
             if e.ann is not None and not type_eq(e.ann, under):
                 raise _mismatch(e.pos, e.ann, under, "let ! annotation")
+            e.ty = under
             gamma2 = {**gamma, e.name: under}
             return self.expr(gamma2, delta, banned, e.body)
         if tp is LetPair:
@@ -232,6 +241,7 @@ class _Checker:
                 raise _mismatch(e.pos, e.left_ann, scrut_ty.left, "let* annotation")
             if e.right_ann is not None and not type_eq(e.right_ann, scrut_ty.right):
                 raise _mismatch(e.pos, e.right_ann, scrut_ty.right, "let* annotation")
+            e.ty = scrut_ty
             delta2 = {**delta, e.left_name: scrut_ty.left, e.right_name: scrut_ty.right}
             return self.expr(gamma, delta2,
                              _unban(banned, e.left_name, e.right_name), e.body)
@@ -246,6 +256,7 @@ class _Checker:
                 raise _mismatch(e.pos, e.left_ann, scrut_ty.left, "mcase annotation")
             if e.right_ann is not None and not type_eq(e.right_ann, scrut_ty.right):
                 raise _mismatch(e.pos, e.right_ann, scrut_ty.right, "mcase annotation")
+            e.ty = scrut_ty
             left_ty = self.expr(gamma, {**delta, e.left_name: scrut_ty.left},
                                 _unban(banned, e.left_name), e.left_arm)
             right_ty = self.expr(gamma, {**delta, e.right_name: scrut_ty.right},
@@ -280,4 +291,5 @@ def check_program(p: Program) -> Type:
     checker = _Checker()
     for name, term in p.decls:
         gamma[name] = checker.term(dict(gamma), {}, {}, term)
-    return checker.term(gamma, {}, {}, p.main)
+    p.ty = checker.term(gamma, {}, {}, p.main)
+    return p.ty

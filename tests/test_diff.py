@@ -7,6 +7,7 @@ from mfl.gen import gen_program
 from mfl.memostore import Store, mt_insert
 from mfl.parser import parse
 from mfl.syntax import Apply, Bang, BoxVal, IntLit, MFun, Pair, Program, UnitLit
+from mfl.typecheck import check_program
 
 import pytest
 
@@ -16,9 +17,16 @@ import pytest
 pytestmark = pytest.mark.usefixtures("hot_calls")
 
 
+def _load(name: str) -> Program:
+    """A corpus program, typechecked, since only typed bodies are generated."""
+    program = load(name)
+    check_program(program)
+    return program
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_corpus_diff_ok(name):
-    verdict = diff_check(load(name))
+    verdict = diff_check(_load(name))
     assert verdict.ok, verdict.detail
 
 
@@ -32,7 +40,7 @@ def test_skip_insert_fault_is_benign():
     # dropping inserts only disables reuse; outcomes stay equal
     with mutant("skip_insert"):
         for name in CORPUS_NAMES:
-            verdict = diff_check(load(name), checked=False)
+            verdict = diff_check(_load(name), checked=False)
             assert verdict.ok, (name, verdict.detail)
         for seed in range(40):
             verdict = diff_check(gen_program(seed), checked=False)
@@ -46,7 +54,7 @@ def test_wrong_branch_fault_is_caught():
     mismatches = 0
     with mutant("wrong_branch"):
         for name in CORPUS_NAMES:
-            if not diff_check(load(name), checked=False, depth_limit=500).ok:
+            if not diff_check(_load(name), checked=False, depth_limit=500).ok:
                 mismatches += 1
         for seed in range(120):
             program = gen_program(seed)
@@ -57,7 +65,7 @@ def test_wrong_branch_fault_is_caught():
 
 def test_wrong_branch_fault_caught_on_fib_specifically():
     with mutant("wrong_branch"):
-        verdict = diff_check(load("fib"), checked=False)
+        verdict = diff_check(_load("fib"), checked=False)
     assert not verdict.ok
 
 
@@ -71,15 +79,15 @@ def test_mutants_reach_the_insert_path():
     # compiled; if the call were bound at import (a default argument of
     # a compiler function, an alias), "skip_insert is benign" would pass
     # without mutating anything
-    real = run_program(load("fib"), EvalConfig())
+    real = run_program(_load("fib"), EvalConfig())
     assert real.stats.memo_hits > 0 and any(map(len, real.store.tables.values()))
     with mutant("skip_insert"):
-        skipped = run_program(load("fib"), EvalConfig())
+        skipped = run_program(_load("fib"), EvalConfig())
     assert skipped.store.tables
     assert all(len(table) == 0 for table in skipped.store.tables.values())
     assert skipped.stats.memo_hits == 0
     with mutant("wrong_branch"):
-        wrong = run_program(load("fib"), EvalConfig())
+        wrong = run_program(_load("fib"), EvalConfig())
     assert _stored_keys(wrong.store) - _stored_keys(real.store)
     assert eval_memo.mt_insert is mt_insert  # restored on exit
 
@@ -88,7 +96,7 @@ def test_box_sharing_increase_is_accepted():
     # the memoized run returns one shared box where the pure run builds
     # two equal ones; content equality plus a functional pure-to-memo
     # tag correspondence accepts this
-    verdict = diff_check(load("hcons"))
+    verdict = diff_check(_load("hcons"))
     assert verdict.ok
     assert type(verdict.memo_value) is Pair
     assert verdict.memo_value.left.tag == verdict.memo_value.right.tag
@@ -144,7 +152,7 @@ def _sites(program):
 def test_diff_check_compiles_each_site_once(compiled_bodies):
     # one compiled program serves both runs, and an mfun body compiles
     # on its site's first allocation: once per site, not per run or value
-    program = load("knapsack")
+    program = _load("knapsack")
     assert diff_check(program).ok
     sites = _sites(program)
     assert len(sites) == 6  # knapsack evaluates every one of its sites
@@ -155,7 +163,7 @@ def test_eval_term_applications_compile_nothing(compiled_bodies):
     # the incremental quicksort's path: the declarations run once, then
     # later eval_term calls on the same store apply the declared values,
     # which carry their code; only the sites compiled
-    program = load("quicksort")
+    program = _load("quicksort")
     cfg, store = EvalConfig(checked=True), Store()
     decls = run_program(Program(program.decls, UnitLit()), cfg, store).decl_values
     assert sorted(map(id, compiled_bodies)) == sorted(map(id, _sites(program)))

@@ -1,6 +1,10 @@
 """The generated tier: when a site switches to it, that every value of
 the site follows, that it calls the memo store through `eval_memo`'s
-globals, that it charges what the closures charge, and its cache."""
+globals, that it charges what the closures charge, that it is written
+from static types and entered only with values of them, and its cache.
+
+Only typechecked bodies are generated, so every program that typechecks
+is checked before it runs here."""
 
 import pytest
 
@@ -10,25 +14,38 @@ import mfl.eval_memo as eval_memo
 import mfl.memostore as memostore
 import mfl.tier as tier
 from mfl.corpus import decode_int_list, load
-from mfl.errors import MflError, Stuck
+from mfl.errors import MflError, MflTypeError, Stuck
 from mfl.eval_memo import EvalConfig, eval_term, run_program
 from mfl.memostore import Store
 from mfl.parser import parse
 from mfl.syntax import (
-    INT, Apply, Bang, IntLit, LetBang, MFun, Pair, PrimOp, Program, Res, Return,
-    TBang, UnitLit, Var,
+    INT, UNIT, Apply, Bang, Inr, IntLit, LetBang, MFun, MFunVal, Pair, PrimOp,
+    Program, Res, Return, Roll, TBang, UnitLit, Var,
 )
+from mfl.typecheck import check_program
 
 GENERATED = "<mfl generated body>"
+DEFAULT_HOT_CALLS = eval_memo.HOT_CALLS
 
 
 @pytest.fixture
 def hot(monkeypatch):
-    """Set `HOT_CALLS`, with an empty factory cache."""
+    """Set `HOT_CALLS`, with an empty factory cache. Returns a list, emptied
+    by each call, of the sites that have switched tiers since: generated
+    or, if their bodies could not be generated, left on the closures."""
     monkeypatch.setattr(tier, "_factories", {})
+    made, generate = [], tier.generate
 
-    def set_hot(n: int) -> None:
+    def recording(site):
+        made.append(site)
+        return generate(site)
+
+    monkeypatch.setattr(tier, "generate", recording)
+
+    def set_hot(n: int) -> list:
         monkeypatch.setattr(eval_memo, "HOT_CALLS", n)
+        made.clear()
+        return made
     return set_hot
 
 
@@ -38,6 +55,23 @@ def _site(value):
 
 def _is_generated(site) -> bool:
     return site.run is not site.cold and site.run.__code__.co_filename == GENERATED
+
+
+def _typed(program: Program) -> Program:
+    """`program`, typechecked if it typechecks."""
+    try:
+        check_program(program)
+    except MflTypeError:
+        pass
+    return program
+
+
+def _parse(src: str) -> Program:
+    return _typed(parse(src))
+
+
+def _load(name: str) -> Program:
+    return _typed(load(name))
 
 
 def _outcome(program: Program, **kw):
@@ -53,11 +87,11 @@ def _outcome(program: Program, **kw):
 
 def test_hot_site_inserts_through_the_module_global(hot):
     hot(0)
-    real = run_program(load("fib"), EvalConfig())
+    real = run_program(_load("fib"), EvalConfig())
     assert _is_generated(_site(real.decl_values["mfib"]))
     assert any(map(len, real.store.tables.values()))
     with mutant("skip_insert"):
-        skipped = run_program(load("fib"), EvalConfig())
+        skipped = run_program(_load("fib"), EvalConfig())
     assert _is_generated(_site(skipped.decl_values["mfib"]))
     assert all(len(table) == 0 for table in skipped.store.tables.values())
     assert skipped.stats.memo_hits == 0
@@ -75,7 +109,7 @@ def test_hot_site_looks_up_through_the_module_global(hot, monkeypatch):
         return memostore.mt_lookup(*args)
 
     monkeypatch.setattr(eval_memo, "mt_lookup", counted)
-    result = run_program(load("fib"), EvalConfig())
+    result = run_program(_load("fib"), EvalConfig())
     assert _is_generated(_site(result.decl_values["mfib"]))
     assert result.stats.returns > 0
     assert len(calls) == result.stats.returns
@@ -83,7 +117,7 @@ def test_hot_site_looks_up_through_the_module_global(hot, monkeypatch):
 
 def test_value_made_while_cold_runs_the_generated_code(hot):
     hot(4)
-    program = load("quicksort")
+    program = _load("quicksort")
     cfg, store = EvalConfig(), Store()
     decls = run_program(Program(program.decls, UnitLit()), cfg, store).decl_values
     hcons, mqs = decls["hcons"], decls["mqs"]
@@ -117,11 +151,11 @@ def test_depth_exceeded_in_generated_code_charges_as_the_closures(hot):
            "return (if n == 0 then 0 else f (!(n - 1))) end end "
            "main down (!100)")
     hot(10 ** 9)
-    cold = _outcome(parse(src), depth_limit=40)
-    hot(0)
-    generated = _outcome(parse(src), depth_limit=40)
+    cold = _outcome(_parse(src), depth_limit=40)
+    made = hot(0)
+    generated = _outcome(_parse(src), depth_limit=40)
     assert cold[0] == "DepthExceeded: application depth exceeded 40"
-    assert generated == cold
+    assert generated == cold and any(map(_is_generated, made))
 
 
 def test_body_past_the_nesting_cap_stays_on_closures(hot):
@@ -132,12 +166,12 @@ def test_body_past_the_nesting_cap_stays_on_closures(hot):
     src = (f"val deep = mfun f (a : !int) : int is let !x = a in return {body} end end "
            "main deep (!1) + deep (!2)")
     hot(10 ** 9)
-    cold = _outcome(parse(src))
+    cold = _outcome(_parse(src))
     hot(0)
-    result = run_program(parse(src), EvalConfig())
+    result = run_program(_parse(src), EvalConfig())
     site = _site(result.decl_values["deep"])
-    assert site.run is site.cold
-    assert _outcome(parse(src)) == cold
+    assert site.left == 0 and site.run is site.cold
+    assert _outcome(_parse(src)) == cold
     assert cold[0] == repr(IntLit(2 * depth + 3))
 
 
@@ -178,7 +212,7 @@ _BOXED = ("val id = mfun i (n : !int) : int is let !m = n in return m end end "
     _BODY.format(body="100 div x", main="g (!4) + g (!0)"),
     _BODY.format(body="if x - 3 then 10 else 20", main="g (!3) + g (!4)"),
     _BODY.format(body="case int2sum x of inl u => 1 | inr v => 2 end", main="g (!0) + g (!4)"),
-    _BODY.format(body="x + y", main="g (!4)"),
+    "val y = 5 " + _BODY.format(body="x + y", main="g (!4)"),
     _BODY.format(body="x (3)", main="g (!4)"),
     _BODY.format(body="(mfun h (b : !int) : int is let !y = b in return x + y end end) (!x)",
                  main="g (!3) + g (!4)"),
@@ -194,11 +228,13 @@ _BOXED = ("val id = mfun i (n : !int) : int is let !m = n in return m end end "
         "keyof-across-a-call", "unbox-across-a-call", "keyof-after-a-let-star"])
 def test_generated_code_agrees_with_the_closures(hot, src):
     # operators and shapes that the generated corpus and golden programs
-    # reach rarely or never
+    # reach rarely or never; an ill-typed body stays on the closures
     hot(10 ** 9)
-    cold = _outcome(parse(src))
-    hot(0)
-    assert _outcome(parse(src)) == cold
+    cold = _outcome(_parse(src))
+    made = hot(0)
+    program = _parse(src)
+    assert _outcome(program) == cold
+    assert any(map(_is_generated, made)) is (program.ty is not None)
 
 
 def _identity_plus(k: int) -> str:
@@ -208,9 +244,9 @@ def _identity_plus(k: int) -> str:
 
 def test_bodies_differing_in_a_literal_share_one_factory(hot):
     hot(0)
-    assert _outcome(parse(_identity_plus(1)))[0] == repr(IntLit(4))
+    assert _outcome(_parse(_identity_plus(1)))[0] == repr(IntLit(4))
     assert len(tier._factories) == 1
-    assert _outcome(parse(_identity_plus(2)))[0] == repr(IntLit(5))
+    assert _outcome(_parse(_identity_plus(2)))[0] == repr(IntLit(5))
     assert len(tier._factories) == 1
 
 
@@ -220,7 +256,7 @@ def test_factory_cache_is_bounded(hot, monkeypatch):
     for op, want in (("+", 5), ("-", 1), ("*", 6), ("<", 0), ("==", 0)):
         src = (f"val g = mfun f (a : !int) : int is let !x = a in return x {op} 2 end end "
                "main g (!3)")
-        assert _outcome(parse(src))[0] == repr(IntLit(want))
+        assert _outcome(_parse(src))[0] == repr(IntLit(want))
         assert len(tier._factories) <= 2
     assert len(tier._factories) == 2
 
@@ -228,9 +264,103 @@ def test_factory_cache_is_bounded(hot, monkeypatch):
 def test_tier_shapes_agree_with_the_closures(hot):
     # bodies that mix `let !` of ints and boxes, `mif`/`mcase`, `!x` of
     # `let !`-bound names, captured functions, `keyof` and `unbox`
+    typed = 0
     for seed in range(300):
         src = tier_program(seed)
         hot(10 ** 9)
-        cold = _outcome(parse(src))
-        hot(0)
-        assert _outcome(parse(src)) == cold, src
+        cold = _outcome(_parse(src))
+        made = hot(0)
+        program = _parse(src)
+        assert _outcome(program) == cold, src
+        if program.ty is not None:
+            typed += 1
+            assert any(map(_is_generated, made)), src
+    assert typed > 250
+
+
+@pytest.mark.parametrize("name", ["quicksort", "knapsack"])
+def test_hot_bodies_are_written_from_their_types(hot, name):
+    # every hot body of a typechecked corpus program is generated, with
+    # constant read charges and no stuck path or type register; the
+    # same program unchecked stays on the closures
+    made = hot(0)
+    run_program(_load(name), EvalConfig())
+    assert made and all(map(_is_generated, made))
+    assert tier._factories
+    for src in tier._factories:
+        assert "Stuck(" not in src and "_lookup_steps" not in src and "t=type(" not in src
+    made = hot(0)
+    run_program(load(name), EvalConfig())
+    assert made and all(site.run is site.cold for site in made)
+
+
+_UNCHECKED = "val f = mfun f (a : !int) : int is let !x = a in return x end end main 0"
+_KEYS = (5, 3, 8, 1, 9)
+
+
+def _boundary_run(case: str) -> tuple:
+    """Apply corpus quicksort's functions through `eval_term`, first to
+    well-typed lists, then to the ill-typed arguments of `case`, then once
+    more to a well-typed list on the same store. Returns each call's
+    value or error, and the counters at the end."""
+    program = _load("quicksort")
+    cfg, store = EvalConfig(), Store()
+    decls = run_program(Program(program.decls, UnitLit()), cfg, store).decl_values
+    hcons, mqs, empty = decls["hcons"], decls["mqs"], decls["empty"]
+    outcomes = []
+
+    def call(fn, arg):
+        try:
+            v = eval_term(store, Apply(fn, arg), cfg)[0]
+            outcomes.append(repr(v))
+            return v
+        except MflError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+            return None
+
+    lst = empty
+    for key in _KEYS:
+        lst = call(hcons, Pair(Bang(IntLit(key)), Bang(lst)))
+    call(mqs, Bang(lst))
+    # an int index where a box's is expected, under every key: hcons's
+    # table then holds lists with an int for a tail under the branches
+    # that the sort's own conses onto the empty list take
+    poison = [(hcons, Pair(Bang(IntLit(key)), Bang(IntLit(empty.tag)))) for key in _KEYS]
+    # a box of a list cell whose tail is an int
+    cell = Roll(Inr(Pair(IntLit(4), IntLit(empty.tag)), UNIT, UNIT), UNIT)
+    nocode = MFunVal(mqs.loc, mqs.fname, mqs.arg, mqs.arg_type, mqs.res_type, mqs.body)
+    if case == "int-for-a-bang":
+        bad = [(mqs, IntLit(3)), (hcons, Pair(IntLit(1), Bang(lst)))]
+    elif case == "int-for-a-box":
+        bad = poison
+    elif case == "box-of-a-wrong-shape":
+        box = store.alloc_box(cell)
+        bad = [(mqs, Bang(box)), (hcons, Pair(Bang(IntLit(7)), Bang(box)))]
+    elif case == "unchecked-function":
+        f = run_program(parse(_UNCHECKED), cfg, store).decl_values["f"]
+        bad = [(mqs, Bang(f)), (mqs, Bang(store.alloc_box(f))),
+               (hcons, Pair(Bang(IntLit(2)), Bang(f)))] + poison[:1]
+    elif case == "function-without-code":
+        bad = [(nocode, Bang(lst)), (hcons, Pair(Bang(IntLit(2)), Bang(nocode)))] + poison[:1]
+    else:
+        bad = []
+    for fn, arg in bad:
+        v = call(fn, arg)
+        if fn is hcons and v is not None:
+            call(mqs, Bang(v))  # sort the ill-typed list hcons made
+    call(mqs, Bang(call(hcons, Pair(Bang(IntLit(6)), Bang(lst)))))
+    call(mqs, Bang(lst))
+    return outcomes, cfg.stats.as_dict(), dict(cfg.stats.per_table)
+
+
+@pytest.mark.parametrize("case", ["well-typed", "int-for-a-bang", "int-for-a-box",
+                                  "box-of-a-wrong-shape", "unchecked-function",
+                                  "function-without-code"])
+def test_ill_typed_arguments_get_what_the_closures_give(hot, case):
+    # typed bodies applied by untyped code to values not of their type,
+    # and then to well-typed ones on the same store: every tier gives the
+    # value or error of the closures, with their counters
+    hot(DEFAULT_HOT_CALLS)
+    default = _boundary_run(case)
+    hot(0)
+    assert _boundary_run(case) == default
