@@ -59,7 +59,7 @@ from .memostore import INL_EVENT, INR_EVENT, KIND_BANG, insert_source, lookup_so
 from .syntax import (
     Apply, Bang, Box, Inl, Inr, KeyOf, LetBang, LetPair, MCase, MFun,
     Pair, PrimOp, Res, Return, Roll, TArrow, TBang, TBox, TInt, TProd, TSum,
-    TUnit, TermCase, TermSplit, Unbox, Unroll, Var, free_names,
+    TUnit, TermCase, TermSplit, Unbox, Unroll, Var,
 )
 
 MAX_DEPTH = 40     # nested terms a generated body may have
@@ -139,7 +139,6 @@ class _Gen:
         self.ntemp = 0
         self.nevent = 0
         self.types: dict = {}  # the static type of each binder
-        self.ints: "dict[str, str]" = {}  # `IntLit(e)` written here -> the int `e`
         self.scruts: "dict[str, str]" = {}  # `let !` binder -> the bang it took apart
         self.bangs: "dict[str, str]" = {}  # `let !` binder -> the name that keeps its bang
         # walk the memo table inline, unless the memo store's functions
@@ -257,18 +256,14 @@ class _Gen:
             self.emit(f"S.steps+={f'{n}+' if n else ''}_lookup_steps(store,{x},cfg)")
         return x
 
-    def split_pair(self, t, body, vs, rs) -> dict:
+    def split_pair(self, t, vs, rs) -> dict:
         """Evaluate the scrutinee of a `let*` or `split` `t`, a pair, and
-        bind the sides that `body` reads. Returns `rs` with them."""
+        bind its sides. Returns `rs` with them."""
         left, right = self.bind(t.ty.left), self.bind(t.ty.right)
         base = self.ntemp
         v = self.hold(self.term(t.scrut, vs, rs))
         self.ntemp = base
-        used = free_names(body)
-        sides = [f"{b}={v}.{side}" for b, side, name in (
-            (left, "left", t.left_name), (right, "right", t.right_name)) if name in used]
-        if sides:
-            self.emit(";".join(sides))
+        self.emit(f"{left}={v}.left;{right}={v}.right")
         return {**rs, t.left_name: left, t.right_name: right}
 
     def apply(self, t: Apply, vs, rs):
@@ -294,19 +289,8 @@ class _Gen:
         """Charge the operator and evaluate its two operands. Returns
         their Python ints."""
         self.steps += 1
-        a = self.term(t.args[0], vs, rs)
-        a = self.hold(self.ints[a]) if a in self.ints else f"{self.hold(a)}.value"
-        return a, self.int_of(self.term(t.args[1], vs, rs))
-
-    def int_of(self, x: str) -> str:
-        """The Python int of the integer value `x`."""
-        return self.ints.get(x) or f"{x}.value"
-
-    def int_lit(self, e: str) -> str:
-        """An integer value of the Python int `e`."""
-        out = f"IntLit({e})"
-        self.ints[out] = f"({e})"
-        return out
+        a = self.hold(self.term(t.args[0], vs, rs))
+        return f"{a}.value", f"{self.term(t.args[1], vs, rs)}.value"
 
     def primop(self, t: PrimOp, vs, rs):
         op, args = t.op, t.args
@@ -315,11 +299,11 @@ class _Gen:
             self.steps += 1
             a = self.term(args[0], vs, rs)
             self.ntemp = base
-            return f"(_SUM_UNIT_TRUE if {self.int_of(a)}!=0 else _SUM_UNIT_FALSE)"
+            return f"(_SUM_UNIT_TRUE if {a}.value!=0 else _SUM_UNIT_FALSE)"
         if len(args) == 2 and (op in _COMPARE or op in _ARITH):
             a, b = self.int_operands(t, vs, rs)
             self.ntemp = base
-            return self.int_lit(f"1 if {a}{op}{b} else 0" if op in _COMPARE else f"{a}{op}{b}")
+            return f"IntLit(1 if {a}{op}{b} else 0)" if op in _COMPARE else f"IntLit({a}{op}{b})"
         if len(args) == 2 and op == "div":
             a, b = self.int_operands(t, vs, rs)
             self.flush()
@@ -388,7 +372,7 @@ class _Gen:
         for (head, binder, value), arm, name in zip(arms, (t.left_arm, t.right_arm),
                                                     (t.left_name, t.right_name)):
             state = self.state()
-            self.arm(head, binder, value, name, arm)
+            self.arm(head, binder, value)
             v = self.term(arm, vs, {**rs, name: binder})
             self.flush()
             self.emit(f"{out}={v}")
@@ -411,7 +395,7 @@ class _Gen:
                 a, b = self.int_operands(arg, vs, rs)
                 test = f"{a}{arg.op}{b}" if arg.op in _COMPARE else f"({a}{arg.op}{b})!=0"
             else:
-                test = f"{self.int_of(self.term(arg, vs, rs))}!=0"
+                test = f"{self.term(arg, vs, rs)}.value!=0"
             units = ("_SUM_UNIT_FALSE.body", "_SUM_UNIT_TRUE.body")
             self.types.update(dict.fromkeys(units, ty.left))
             return (f"if not {test}:", units[0], None), ("else:", units[1], None)
@@ -419,16 +403,15 @@ class _Gen:
         return ((f"if type({v}) is Inl:", self.bind(ty.left), f"{v}.body"),
                 ("else:", self.bind(ty.right), f"{v}.body"))
 
-    def arm(self, head: str, binder: str, value: "str | None", name: str, body) -> None:
-        """Open an arm of a sum test, and bind its binder to `name` if
-        the arm's `body` reads it."""
+    def arm(self, head: str, binder: str, value: "str | None") -> None:
+        """Open an arm of a sum test, and bind its binder."""
         self.nest(head)
-        if value is not None and name in free_names(body):
+        if value is not None:
             self.emit(f"{binder}={value}")
 
     def split(self, t: TermSplit, vs, rs):
         self.steps += 1
-        return self.term(t.body, vs, self.split_pair(t, t.body, vs, rs))
+        return self.term(t.body, vs, self.split_pair(t, vs, rs))
 
     # ---- expressions: each ends every path with a return ----
 
@@ -487,7 +470,7 @@ class _Gen:
 
     def let_pair(self, e: LetPair, vs, rs, events):
         self.steps += 1
-        self.expr(e.body, vs, self.split_pair(e, e.body, vs, rs), events)
+        self.expr(e.body, vs, self.split_pair(e, vs, rs), events)
 
     def mcase(self, e: MCase, vs, rs, events):
         self.steps += 1
@@ -497,7 +480,7 @@ class _Gen:
                                                           (e.left_name, e.right_name),
                                                           (INL_EVENT, INR_EVENT)):
             self.restore(outer)
-            self.arm(head, binder, value, name, arm)
+            self.arm(head, binder, value)
             self.expr(arm, vs, {**rs, name: binder}, self.event(events, repr(code)))
             self.ind -= 1
         self.restore(outer)
@@ -510,7 +493,7 @@ _TERM_RULES = {
     TermSplit: _Gen.split,
     Unroll: lambda gen, t, vs, rs: gen.body_of(t, vs, rs, "{}.body"),
     Unbox: lambda gen, t, vs, rs: gen.body_of(t, vs, rs, "store.boxes[{}.tag]"),
-    KeyOf: lambda gen, t, vs, rs: gen.int_lit(gen.body_of(t, vs, rs, "{}.tag")),
+    KeyOf: lambda gen, t, vs, rs: gen.body_of(t, vs, rs, "IntLit({}.tag)"),
 }
 _EXPR_RULES = {
     Return: _Gen.ret, LetBang: _Gen.let_bang, LetPair: _Gen.let_pair,
