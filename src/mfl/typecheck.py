@@ -104,6 +104,8 @@ class _Checker:
             banned2 = banned
             if t.arg in banned:
                 banned2 = {k: v for k, v in banned.items() if k != t.arg}
+            if tp is MFun:  # a check that fails leaves the term untyped
+                t.ctx = None
             body_ty = self.expr(gamma2, delta2, banned2, t.body)
             if not type_eq(body_ty, t.res_type):
                 raise _mismatch(t.pos, t.res_type, body_ty, f"body of '{t.fname}'")
@@ -289,6 +291,7 @@ def check_program(p: Program) -> Type:
     declaration names (as variables), then return the type of main."""
     gamma: "dict[str, Type]" = {}
     checker = _Checker()
+    p.ty = None
     for name, term in p.decls:
         gamma[name] = checker.term(dict(gamma), {}, {}, term)
     p.ty = checker.term(gamma, {}, {}, p.main)

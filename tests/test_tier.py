@@ -364,3 +364,20 @@ def test_ill_typed_arguments_get_what_the_closures_give(hot, case):
     default = _boundary_run(case)
     hot(0)
     assert _boundary_run(case) == default
+
+
+
+def test_a_failed_check_leaves_the_function_and_program_untyped(hot):
+    # a program that passed, changed so that a body no longer passes and
+    # checked again, keeps none of the types its first check left on the
+    # function and program, whatever binders the failed check typed
+    program = _parse(_identity_plus(1))
+    fun = program.decls[0][1]
+    assert fun.ctx is not None and program.ty is not None
+    fun.body.body.body = PrimOp("+", (Var("x"), Var("y")))
+    with pytest.raises(MflTypeError):
+        check_program(program)
+    assert fun.ctx is None and program.ty is None
+    made = hot(0)
+    assert _outcome(program)[0] == "Stuck: free variable 'y' at run time"
+    assert made and all(site.run is site.cold for site in made)
