@@ -4,7 +4,7 @@ Under the memo policy terms evaluate against a store; evaluating a
 function term allocates a fresh, empty memo table and stamps its
 location on the resulting value. Applying a function evaluates its
 body as an *expression* relative to the callee's own table, starting
-from the empty branch. Expression evaluation explores the argument
+from the empty branch, `()`. Expression evaluation explores the argument
 (`let !`, `let*`, `mcase`), appending one event per exploration step,
 until a `return` completes the body: the accumulated branch keys the
 memo table, either yielding the stored result or binding the freshly
@@ -58,7 +58,10 @@ read by code that trusts its types.
 Bindings live in a frame, one list per activation: the compiler gives
 every binder of a body its own slot and resolves each name occurrence
 to the slot of its innermost binder, in the style of the CEK machine
-(Felleisen & Friedman 1986) with the environment flattened. Values stay
+(Felleisen & Friedman 1986) with the environment flattened. Slots 0-2
+hold the function value, the argument and the activation's application
+depth, 0 in a top-level frame: no depth is shared, so a run that raised
+leaves none to undo. A branch is a tuple and starts as `()`. Values stay
 closed terms all the same, because the one place a value can capture
 its surroundings, an `mfun` body, is closed by substitution when the
 function value is made. Erased memoized results therefore compare
@@ -129,7 +132,8 @@ class EvalConfig:
     detection and resource-freeness of return bodies). `reuse` and
     `pure` are `mode` as the flags the evaluator reads; `plain` is set
     for the policy the generated tier implements (normal, unchecked,
-    untraced); `depth` is the run's current application depth.
+    untraced). A config holds no run state but its counters, so it can
+    be reused after a run that raised.
     """
 
     mode: str = "normal"  # "normal" | "cold" | "pure"
@@ -137,7 +141,6 @@ class EvalConfig:
     depth_limit: int = 10 ** 6
     trace: bool = False
     stats: EvalStats = field(default_factory=EvalStats)
-    depth: int = field(default=0, init=False)
     reuse: bool = field(init=False)
     pure: bool = field(init=False)
     plain: bool = field(init=False)
@@ -284,8 +287,8 @@ def _fits(store: Store, v: Term, ty: Type) -> bool:
 #
 # A compiled term is `ev(fr, cfg, store) -> value`; a compiled
 # expression is `ex(fr, cfg, store, branch) -> value`, where `fr` is the
-# activation's frame. Slot 0 of a function body's frame holds the
-# function value, whose location names the memo table. `vs` and `rs` map
+# activation's frame. Its header is the function value, whose location
+# names the memo table, the argument and the depth. `vs` and `rs` map
 # the variables and resources in scope to their frame slots; `unit`
 # counts the slots of the unit being compiled, knows which of them hold
 # values the function captured, and whether the unit has passed the
@@ -394,14 +397,11 @@ def _term_apply(t: Apply, vs, rs, unit):
             site.left -= 1
             if not site.left:
                 _promote(site)
-        cfg.depth += 1
-        if cfg.depth > cfg.depth_limit:
+        depth = fr[2] + 1
+        if depth > cfg.depth_limit:
             raise _too_deep(cfg)
-        try:
-            return (site.run if cfg.plain and not store.ill_typed else site.cold)(
-                [fn, arg, *tail], cfg, store, [])
-        finally:
-            cfg.depth -= 1
+        return (site.run if cfg.plain and not store.ill_typed else site.cold)(
+            [fn, arg, depth] + tail, cfg, store, ())  # no spare slots, unlike `*tail`
     return ev
 
 
@@ -491,7 +491,7 @@ def _term_mfun(t: MFun, vs, rs, unit):
 
     def ev(fr, cfg, store):
         cfg.stats.steps += 1
-        captured = tuple([fr[slot] for slot in slots])
+        captured = [fr[slot] for slot in slots]
         if checks and not store.ill_typed and not all(
                 _fits(store, captured[i], ty) for i, ty in checks):
             store.ill_typed = True
@@ -631,7 +631,7 @@ def _expr_return(e: Return, vs, rs, unit):
             else:
                 cell[0] += 1
             if cfg.trace:
-                stats.events.append(("hit", loc, tuple(branch)))
+                stats.events.append(("hit", loc, branch))
             return cached
         stats.memo_misses += 1
         cell = stats.per_table.get(loc)
@@ -640,7 +640,7 @@ def _expr_return(e: Return, vs, rs, unit):
         else:
             cell[1] += 1
         if cfg.trace:
-            stats.events.append(("miss", loc, tuple(branch)))
+            stats.events.append(("miss", loc, branch))
         if free and cfg.checked:
             raise InternalInvariantError(f"return body has free resources {free}")
         v = body_c(fr, cfg, store)
@@ -669,7 +669,7 @@ def _expr_let_bang(e: LetBang, vs, rs, unit):
             tp = type(inner)
             event = (KIND_BANG, inner.value if tp is IntLit else
                      inner.tag if tp is BoxVal else index_of(inner))
-            branch.append(event)
+            branch += (event,)
             stats.branch_events += 1
             if len(branch) > stats.max_branch_len:
                 stats.max_branch_len = len(branch)
@@ -717,7 +717,7 @@ def _expr_mcase(e: MCase, vs, rs, unit):
         else:
             raise Stuck("mcase of a non-sum value")
         if not cfg.pure:
-            branch.append(event)
+            branch += (event,)
             stats.branch_events += 1
             if len(branch) > stats.max_branch_len:
                 stats.max_branch_len = len(branch)
@@ -737,17 +737,16 @@ _EXPR_COMPILERS = {
 def _compile_body(fn, vnames: tuple, rnames: tuple, typed: bool) -> tuple:
     """Compile the body of the function term `fn`, which captures the
     variables `vnames` and the resources `rnames`, as a typed unit or
-    not. Returns the compiled body, its frame padding and the sites of
-    its `mfun` terms. The frame holds the function value in slot 0, its
-    argument in slot 1, then the captured values in order."""
+    not. Returns the compiled body, its frame padding (after the header
+    and the captured values) and the sites of its `mfun` terms."""
     ncap = len(vnames) + len(rnames)
-    unit = _Unit(2 + ncap, range(2, 2 + ncap), typed)
-    vs = {name: 2 + i for i, name in enumerate(vnames)}
-    rs = {name: 2 + len(vnames) + i for i, name in enumerate(rnames)}
+    unit = _Unit(3 + ncap, range(3, 3 + ncap), typed)
+    vs = {name: 3 + i for i, name in enumerate(vnames)}
+    rs = {name: 3 + len(vnames) + i for i, name in enumerate(rnames)}
     vs[fn.fname] = 0
     rs[fn.arg] = 1
     run = _compile_expr(fn.body, vs, rs, unit)
-    return run, (None,) * (unit.size - 2 - ncap), unit.sites
+    return run, [None] * (unit.size - 3 - ncap), unit.sites
 
 
 class _Site:
@@ -772,7 +771,7 @@ class _Site:
         self.cold = self.run = None
         self.left = HOT_CALLS + 1
 
-    def value(self, t: MFun, captured: tuple, cfg: EvalConfig, store: Store) -> Term:
+    def value(self, t: MFun, captured: list, cfg: EvalConfig, store: Store) -> Term:
         """The value of the function term `t` made at this site, closing
         its body over the `captured` values (variables, then resources)."""
         if self.cold is None:
@@ -807,9 +806,9 @@ def eval_term(store: Store, t: Term, cfg: "EvalConfig | None" = None):
     in is extended in place and returned for convenience."""
     if cfg is None:
         cfg = EvalConfig()
-    unit = _Unit(0)
+    unit = _Unit(3)
     ev = _compile_term(t, {}, {}, unit)
-    return ev([None] * unit.size, cfg, store), store
+    return ev([None, None, 0] + [None] * (unit.size - 3), cfg, store), store
 
 
 def eval_expr(store: Store, loc: int, branch, e: Expr, cfg: "EvalConfig | None" = None):
@@ -817,11 +816,11 @@ def eval_expr(store: Store, loc: int, branch, e: Expr, cfg: "EvalConfig | None" 
     from `branch` (a sequence of encoded events)."""
     if cfg is None:
         cfg = EvalConfig()
-    unit = _Unit(1)
+    unit = _Unit(3)
     ex = _compile_expr(e, {}, {}, unit)
     # slot 0 stands for the function value: only its location is read
-    frame = [SimpleNamespace(loc=loc)] + [None] * (unit.size - 1)
-    return ex(frame, cfg, store, list(branch)), store
+    frame = [SimpleNamespace(loc=loc), None, 0] + [None] * (unit.size - 3)
+    return ex(frame, cfg, store, tuple(branch)), store
 
 
 def compile_program(program: Program):
@@ -829,7 +828,7 @@ def compile_program(program: Program):
     result, `run(cfg, store)`, evaluates the declarations in order and
     then main, and returns main's value and the declared values by name.
     The code holds no state of a run, so it runs under every policy."""
-    unit = _Unit(0, typed=program.ty is not None)
+    unit = _Unit(3, typed=program.ty is not None)
     vs: "dict[str, int]" = {}
     decls = []
     for name, term in program.decls:
@@ -840,7 +839,7 @@ def compile_program(program: Program):
     size = unit.size
 
     def run(cfg: EvalConfig, store: Store):
-        fr = [None] * size
+        fr = [None, None, 0] + [None] * (size - 3)
         values: "dict[str, Term]" = {}
         for name, slot, ev in decls:
             values[name] = fr[slot] = ev(fr, cfg, store)

@@ -130,7 +130,7 @@ def mt_insert(table: MemoTable, branch, value, stats=None, on_dup: str = "error"
             node = children[key] = _Node()
         elif type(node) is not _Node:
             raise PrefixViolation(
-                f"stored branch {branch[:depth]!r} is a strict prefix of {tuple(branch)!r}")
+                f"stored branch {tuple(branch[:depth])!r} is a strict prefix of {tuple(branch)!r}")
         children, key = node.children, code
         node = children.get(code, _MISSING)
     if stats is not None:

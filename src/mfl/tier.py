@@ -8,8 +8,8 @@ compiler (1994). Every node of the body is inlined into that function,
 and the frame's slots become Python locals. The function takes the
 closures' arguments, `(frame, cfg, store, branch)`, so an application
 calls either tier the same way. It ignores `branch`, which is always
-empty on entry: the events of a path are known statically, so each
-`return` builds its branch from them.
+`()` on entry: the events of a path are known statically, so each
+`return` builds its branch from them. Its callees' depth is read once.
 
 Only typed bodies are generated (`_Site.ty`), and their code is written
 from the types the checker left on the nodes, as in Tarditi et al.'s
@@ -123,11 +123,12 @@ def _size(ty) -> "int | None":
 
 
 class _Gen:
-    """Writes one body. Names in the source: `S` the stats, `b<i>` the
-    binders (each bound once on a path), `x<i>` temporaries (a stack,
-    reused once consumed), `e<i>` branch events, `k<i>` the factory's
-    arguments, and `L`, `T`, `B`, `F`, `C`, `P`, `c` and the memo walk's
-    `W<i>` the scratch of a `return`."""
+    """Writes one body. Names in the source: `S` the stats, `D` the
+    callees' depth, `b<i>` the binders (each bound once on a path),
+    `x<i>` temporaries (a stack, reused once consumed), `e<i>` branch
+    events, `k<i>` the factory's arguments, and `L`, `T`, `B`, `F`, `C`,
+    `P`, `c` and the memo walk's `W<i>` the scratch of a `return`; the
+    callees get the branch `()`."""
 
     def __init__(self, site):
         self.site = site
@@ -166,7 +167,8 @@ class _Gen:
         self.types.update(zip(binders, [gamma[site.fname], delta[site.arg],
                                         *map(gamma.get, site.vnames),
                                         *map(delta.get, site.rnames)]))
-        self.emit("S=cfg.stats;" + ";".join(f"{b}=fr[{i}]" for i, b in enumerate(binders)))
+        reads = [f"{b}=fr[{i + (i > 1)}]" for i, b in enumerate(binders)]  # slot 2: the depth
+        self.emit(";".join(["S=cfg.stats", "D=fr[2]+1", *reads]))
         self.expr(site.body, vs, rs, ())
         args = "".join(f"k{i}," for i in range(len(self.consts)))
         return "\n".join([f"def _factory({args}):", " def run(fr,cfg,store,branch):",
@@ -279,10 +281,8 @@ class _Gen:
         # count the activation and switch the site after the last, as
         # the closures do
         self.emit(f"if {site}.left:{site}.left-=1;{site}.left or _promote({site})")
-        self.emit("cfg.depth+=1")
-        self.emit("if cfg.depth>cfg.depth_limit:raise _too_deep(cfg)")
-        self.emit(f"try:{out}={site}.run([{f},{arg},*{tail}],cfg,store,[])")
-        self.emit("finally:cfg.depth-=1")
+        self.emit("if D>cfg.depth_limit:raise _too_deep(cfg)")
+        self.emit(f"{out}={site}.run([{f},{arg},D]+{tail},cfg,store,())")
         return out
 
     def int_operands(self, t: PrimOp, vs, rs):
@@ -345,7 +345,7 @@ class _Gen:
         self.flush()
         out = self.hold_name()
         self.emit(f"{out}={self.const(inner)}.value({self.const(t)},"
-                  f"({''.join(x + ',' for x in captured)}),cfg,store)")
+                  f"[{','.join(captured)}],cfg,store)")
         return out
 
     def body_of(self, t, vs, rs, fmt: str):

@@ -12,6 +12,7 @@ from mfl.syntax import (
     INT, Apply, Bang, IntLit, LetBang, LetPair, MFunVal, Pair, PrimOp, Program,
     Res, Return, TermSplit, Unbox, Var, erase, term_eq,
 )
+from mfl.typecheck import check_program
 
 IDENTITY_SRC = "mfun f (a : !int) : int is let !x = a in return x end end"
 
@@ -380,6 +381,43 @@ def test_depth_guard():
            "main f (!50)")
     with pytest.raises(DepthExceeded):
         run_program(parse(src), fresh(depth_limit=10))
+
+
+_DOWN = ("val down = mfun f (a : !int) : int is let !n = a in "
+         "return (if n == 0 then 0 else f (!(n - 1))) end end ")
+
+
+def _down(n: int) -> Program:
+    program = parse(_DOWN + f"main down (!{n})")
+    check_program(program)
+    return program
+
+
+def _depth_error(run) -> str:
+    with pytest.raises(DepthExceeded) as exc:
+        run()
+    return str(exc.value)
+
+
+def test_a_config_is_reusable_after_a_depth_error(hot_calls):
+    # `down (!n)` is n + 1 applications deep: a run that raised leaves
+    # the config's depth where it was, on either tier
+    cfg = EvalConfig(depth_limit=20)
+    assert _depth_error(lambda: run_program(_down(50), cfg)) == "application depth exceeded 20"
+    for _ in range(3):
+        assert term_eq(run_program(_down(19), cfg).value, IntLit(0))
+
+
+def test_eval_term_applications_share_a_config_after_a_depth_error(hot_calls):
+    cfg, store = EvalConfig(depth_limit=20), Store()
+    down = run_program(_down(0), cfg, store).decl_values["down"]
+    _depth_error(lambda: eval_term(store, Apply(down, Bang(IntLit(50))), cfg))
+    for n in (19, 19, 5):
+        assert term_eq(eval_term(store, Apply(down, Bang(IntLit(n))), cfg)[0], IntLit(0))
+    # `down (!39)` would apply `down (!19)`, stored, 21 deep; `down (!38)`
+    # applies it 20 deep and reads it
+    _depth_error(lambda: eval_term(store, Apply(down, Bang(IntLit(39))), cfg))
+    assert term_eq(eval_term(store, Apply(down, Bang(IntLit(38))), cfg)[0], IntLit(0))
 
 
 def test_decl_sharing_across_calls():

@@ -117,6 +117,23 @@ def test_prefix_freedom_enforced():
         mt_insert(table2, branch(bang(1), INL_EVENT), "deep")
 
 
+@pytest.mark.parametrize("stored, inserted", [
+    ([bang(1)], [bang(1), INL_EVENT, bang(2)]),
+    ([bang(1), INL_EVENT], [bang(1)]),
+    ([bang(1), INL_EVENT], [bang(1), INL_EVENT]),
+], ids=["stored-prefix", "inserted-prefix", "duplicate"])
+def test_insert_errors_do_not_depend_on_the_branch_type(stored, inserted):
+    # the closures insert tuples, the generated tier's fallback a list
+    errors = []
+    for seq in (list, tuple):
+        table = MemoTable()
+        mt_insert(table, seq(stored), "v")
+        with pytest.raises(MflError) as exc:
+            mt_insert(table, seq(inserted), "w")
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1]
+
+
 def test_empty_branch_entry():
     table = MemoTable()
     mt_insert(table, [], "root")

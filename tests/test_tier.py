@@ -6,6 +6,8 @@ from static types and entered only with values of them, and its cache.
 Only typechecked bodies are generated, so every program that typechecks
 is checked before it runs here."""
 
+import re
+
 import pytest
 
 from support import mutant
@@ -147,15 +149,19 @@ def test_value_made_while_cold_runs_the_generated_code(hot):
 
 
 def test_depth_exceeded_in_generated_code_charges_as_the_closures(hot):
+    # `down (!n)` is n + 1 applications deep: at the limit of 40, 40 run
+    # and 41 raise, with the closures' counters on both tiers
     src = ("val down = mfun f (a : !int) : int is let !n = a in "
            "return (if n == 0 then 0 else f (!(n - 1))) end end "
-           "main down (!100)")
-    hot(10 ** 9)
-    cold = _outcome(_parse(src), depth_limit=40)
-    made = hot(0)
-    generated = _outcome(_parse(src), depth_limit=40)
-    assert cold[0] == "DepthExceeded: application depth exceeded 40"
-    assert generated == cold and any(map(_is_generated, made))
+           "main down (!{})")
+    too_deep = "DepthExceeded: application depth exceeded 40"
+    for n, out in ((39, "IntLit(value=0,"), (40, too_deep), (100, too_deep)):
+        hot(10 ** 9)
+        cold = _outcome(_parse(src.format(n)), depth_limit=40)
+        made = hot(0)
+        generated = _outcome(_parse(src.format(n)), depth_limit=40)
+        assert cold[0].startswith(out)
+        assert generated == cold and any(map(_is_generated, made))
 
 
 def test_body_past_the_nesting_cap_stays_on_closures(hot):
@@ -281,14 +287,16 @@ def test_tier_shapes_agree_with_the_closures(hot):
 @pytest.mark.parametrize("name", ["quicksort", "knapsack"])
 def test_hot_bodies_are_written_from_their_types(hot, name):
     # every hot body of a typechecked corpus program is generated, with
-    # constant read charges and no stuck path or type register; the
-    # same program unchecked stays on the closures
+    # constant read charges, no stuck path or type register, and no
+    # shared depth to restore; the same program unchecked stays on the
+    # closures
     made = hot(0)
     run_program(_load(name), EvalConfig())
     assert made and all(map(_is_generated, made))
     assert tier._factories
     for src in tier._factories:
         assert "Stuck(" not in src and "_lookup_steps" not in src and "t=type(" not in src
+        assert not re.search(r"cfg\.depth\b", src) and "try:" not in src and "finally:" not in src
     made = hot(0)
     run_program(load(name), EvalConfig())
     assert made and all(site.run is site.cold for site in made)
