@@ -13,7 +13,10 @@ operation: the calling thread, and the deep-stack worker for the part of
 the operation handed to it. Every outcome is checked as the benchmark
 checks it. The object also gives `generated_source_bytes`: the summed
 length of the generated tier's sources (`mfl.tier._factories`) after
-the warm-up round, that is, of the bodies the workload turns hot.
+the warm-up round, that is, of the bodies the workload turns hot, and
+`generated_per_op`: the calls of `mfl.tier.generate` per counted
+operation, which are 0 when every hot body is reused from an earlier
+compile.
 
 Unlike a timing, the counts do not depend on the host, so two checkouts
 can be compared on them where process pairs are too noisy to tell: run
@@ -108,13 +111,24 @@ def main(argv) -> int:
         counter = Counter()
         counted = SimpleNamespace(**vars(m))
         counted.deepcall = CountedDeepcall(m.deepcall, counter)
-        for i in range(n):
-            item = inputs[i % len(inputs)]
-            workload.check(item, counter.run(workload.op, counted, null, item))
+        tier, generate, generated = m.eval_memo.tier, m.eval_memo.tier.generate, []
+
+        def counted_generate(site):
+            generated.append(site)
+            return generate(site)
+
+        tier.generate = counted_generate
+        try:
+            for i in range(n):
+                item = inputs[i % len(inputs)]
+                workload.check(item, counter.run(workload.op, counted, null, item))
+        finally:
+            tier.generate = generate
     print(json.dumps({"checkout": str(checkout), "workload": name, "ops": n,
                       "bytecodes_per_op": round(counter.bytecodes / n, 1),
                       "calls_per_op": round(counter.calls / n, 1),
-                      "generated_source_bytes": source_bytes}))
+                      "generated_source_bytes": source_bytes,
+                      "generated_per_op": round(len(generated) / n, 2)}))
     return 0
 
 

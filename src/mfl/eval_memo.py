@@ -44,7 +44,11 @@ closures. Values made before the switch reach the new code, since
 theirs is the cell. Two tiers, not one, because `compile()` costs 0.6
 to 1.8 ms per quicksort body (Python 3.11), while most programs run few
 activations: over 200 `perfbench:fuzz:1:<i>` programs, a whole
-`diff_check` made a median of 8 and at most 27.
+`diff_check` made a median of 8 and at most 27. A generated site
+outlives its program, as translated code is kept in Deutsch &
+Schiffman's Smalltalk-80 (1984): a later compile of an equal typed
+`mfun` term gets the site, with its closures, generated code and nested
+sites, and starts hot, compiling and generating nothing (`_hot_site`).
 
 Only bodies of `mfun` terms that passed the typechecker are generated,
 from their static types, and test nothing at run time; an untyped body
@@ -53,7 +57,8 @@ unchecked program) checks each argument it gives a typed body, and each
 value a typed function it makes captures, against its static type
 (`_fits`). A misfit marks the store `ill_typed`, and no later run on it
 enters generated code: a memo entry made from ill-typed input is never
-read by code that trusts its types.
+read by code that trusts its types. A box a typed body returns to
+untyped code fits the body's result type, and is not walked again.
 
 Bindings live in a frame, one list per activation: the compiler gives
 every binder of a body its own slot and resolves each name occurrence
@@ -110,7 +115,7 @@ from .syntax import (
     LetPair, MCase, MFun, MFunVal, Pair, PrimOp, Program, Res, Return,
     Roll, TArrow, TBang, TBox, TInt, TProd, TRec, TSum, TUnit, Term,
     TermCase, TermSplit, Type, UNIT, UnitLit, Unbox, Unroll, Var,
-    free_names, free_resources, subst, type_eq, unroll_type,
+    free_names, free_resources, subst, term_eq, type_eq, unroll_type,
 )
 
 _SUM_UNIT_FALSE = Inl(UnitLit(), UNIT, UNIT)
@@ -400,8 +405,12 @@ def _term_apply(t: Apply, vs, rs, unit):
         depth = fr[2] + 1
         if depth > cfg.depth_limit:
             raise _too_deep(cfg)
-        return (site.run if cfg.plain and not store.ill_typed else site.cold)(
+        v = (site.run if cfg.plain and not store.ill_typed else site.cold)(
             [fn, arg, depth] + tail, cfg, store, ())  # no spare slots, unlike `*tail`
+        # a box a typed body returns to untyped code fits its result type
+        if untyped and type(v) is BoxVal and site.ty is not None and not store.ill_typed:
+            store.fits[v.tag] = site.ty.res.item
+        return v
     return ev
 
 
@@ -480,13 +489,13 @@ def _term_mfun(t: MFun, vs, rs, unit):
     vnames = tuple(name for name in vs if name in free)
     rnames = tuple(name for name in rs if name in free)
     slots = tuple(vs[name] for name in vnames) + tuple(rs[name] for name in rnames)
-    site = unit.sites[t] = _Site(vnames, rnames, t.ctx and t.ctx[0][t.fname])
+    site = unit.sites[t] = (_hot_sites and t.ctx is not None and _hot_site(t, vnames, rnames)
+                            or _Site(vnames, rnames, t.ctx and t.ctx[0][t.fname]))
     # made by untyped code, a typed function checks what it captures
     # against the types it was checked at
     checks = ()
     if t.ctx is not None and not unit.typed:
-        gamma, delta = t.ctx
-        checks = [(i, ty) for i, ty in enumerate([*map(gamma.get, vnames), *map(delta.get, rnames)])
+        checks = [(i, ty) for i, ty in enumerate(_captured_types(t.ctx, vnames, rnames))
                   if ty is not None]
 
     def ev(fr, cfg, store):
@@ -757,14 +766,16 @@ class _Site:
     `run` is what plain runs call: `cold` until the site has had
     `HOT_CALLS` activations, then the generated function, unless the
     body cannot be generated. `left` counts the activations down to
-    that switch and then stays 0. `sites` maps the body's own `mfun`
-    terms to their sites. The site keeps the function term's body,
-    names and checked contexts (`ctx`) but not the term: a pure value is
-    the term itself, and its code points here, so a reference back would
-    be a cycle that outlives the run."""
+    that switch and then stays 0; a site that a later compile reuses
+    (`_hot_site`) has switched, so it is 0 from that compile's start.
+    `sites` maps the body's own `mfun` terms to their sites. The site
+    keeps the function term's body, names, source position and checked
+    contexts (`ctx`) but not the term: a pure value is the term itself,
+    and its code points here, so a reference back would be a cycle that
+    outlives the run."""
 
-    __slots__ = ("vnames", "rnames", "ty", "fname", "arg", "body", "ctx", "cold", "run",
-                 "pad", "sites", "left")
+    __slots__ = ("vnames", "rnames", "ty", "fname", "arg", "pos", "body", "ctx", "cold",
+                 "run", "pad", "sites", "left")
 
     def __init__(self, vnames: tuple, rnames: tuple, ty: "TArrow | None"):
         self.vnames, self.rnames, self.ty = vnames, rnames, ty
@@ -778,7 +789,8 @@ class _Site:
             self.cold, self.pad, self.sites = _compile_body(t, self.vnames, self.rnames,
                                                             self.ty is not None)
             self.run = self.cold
-            self.fname, self.arg, self.body, self.ctx = t.fname, t.arg, t.body, t.ctx
+            self.fname, self.arg, self.pos = t.fname, t.arg, t.pos
+            self.body, self.ctx = t.body, t.ctx
         closed, code = t, (self, self.pad)
         if captured:
             # a value is a closed term: substitute what the body captures
@@ -793,12 +805,48 @@ class _Site:
                        t.res_type, closed.body, code=code)
 
 
+def _captured_types(ctx: tuple, vnames: tuple, rnames: tuple) -> list:
+    """The types `ctx` gives the captured `vnames` and `rnames`, or None."""
+    return [*map(ctx[0].get, vnames), *map(ctx[1].get, rnames)]
+
+
+# Generated sites, for later compiles of equal function terms
+# (`_hot_site`), by what their code depends on besides its body and
+# types: the names of the function term or site `fn` and of what it
+# captures, the switch point, and the memo store functions the generator
+# sees. The source position tells apart a program's functions of equal
+# names. Bounded like the factories.
+_hot_sites: "dict[tuple, _Site]" = {}
+
+
+def _hot_key(fn, vnames: tuple, rnames: tuple) -> tuple:
+    return fn.fname, fn.arg, fn.pos, vnames, rnames, HOT_CALLS, mt_lookup, mt_insert
+
+
 def _promote(site: _Site) -> None:
     """Switch `site`'s plain runs to its body generated as one Python
-    function, if the body can be generated."""
+    function, if the body can be generated, and keep the site for later
+    compiles of an equal function term."""
     hot = tier.generate(site)
     if hot is not None:
         site.run = hot
+        if len(_hot_sites) >= tier.CACHE_SIZE:
+            del _hot_sites[next(iter(_hot_sites))]
+        _hot_sites[_hot_key(site, site.vnames, site.rnames)] = site
+
+
+def _hot_site(t: MFun, vnames: tuple, rnames: tuple) -> "_Site | None":
+    """The generated site of an earlier compile of a term equal to the
+    typed function term `t`, if any: its code is what `t`'s own site
+    would build, as it depends only on the body, the names, and the
+    types of the function and of what it captures."""
+    site = _hot_sites.get(_hot_key(t, vnames, rnames))
+    if (site is not None and type_eq(site.ty, t.ctx[0][t.fname])
+            and all(map(type_eq, _captured_types(t.ctx, vnames, rnames),
+                        _captured_types(site.ctx, vnames, rnames)))
+            and term_eq(t.body, site.body)):
+        return site
+    return None
 
 
 def eval_term(store: Store, t: Term, cfg: "EvalConfig | None" = None):

@@ -42,10 +42,12 @@ on the tier.
 The source depends only on the body's shape: literal values, types and
 the sites of nested `mfun` terms are passed to a factory as arguments
 `k0, k1, ...`. Factories are cached by their source text in a bounded
-module-level cache, so `compile()` runs once per shape and process,
-even when each run parses its program afresh. A body nested deeper than
-`MAX_DEPTH` stays on the closures, since Python allows at most 100
-indentation levels.
+module-level cache, so `compile()` runs once per shape and process.
+`eval_memo` keeps each generated site, which a later compile of an
+equal function term reuses, so `generate` runs once per body and
+process even when each run parses its program afresh. A body nested
+deeper than `MAX_DEPTH` stays on the closures, since Python allows at
+most 100 indentation levels.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ sys.setrecursionlimit(200_000)
 def hot_calls(request, monkeypatch):
     """Run the test with `eval_memo.HOT_CALLS` at its default (the test
     keeps its plain name), at 0 (every site runs generated code from its
-    first activation) and at 1 (from its second)."""
+    first activation) and at 1 (from its second). The test starts with
+    no generated site kept from earlier tests, so their order does not
+    decide which sites compile or switch."""
     monkeypatch.setattr(eval_memo, "HOT_CALLS", request.param)
+    monkeypatch.setattr(eval_memo, "_hot_sites", {})
     return request.param

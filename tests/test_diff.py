@@ -134,7 +134,9 @@ def test_mismatched_values_reported():
 
 @pytest.fixture
 def compiled_bodies(monkeypatch):
-    """The function terms whose bodies `_compile_body` compiles, in order."""
+    """The function terms whose bodies `_compile_body` compiles, in order,
+    starting with no generated site kept for reuse."""
+    monkeypatch.setattr(eval_memo, "_hot_sites", {})
     compiled, real = [], eval_memo._compile_body
 
     def counted(fn, *captured):

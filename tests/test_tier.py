@@ -1,7 +1,8 @@
 """The generated tier: when a site switches to it, that every value of
 the site follows, that it calls the memo store through `eval_memo`'s
 globals, that it charges what the closures charge, that it is written
-from static types and entered only with values of them, and its cache.
+from static types and entered only with values of them, its cache, and
+that a later compile of an equal typed function term reuses its site.
 
 Only typechecked bodies are generated, so every program that typechecks
 is checked before it runs here."""
@@ -21,8 +22,8 @@ from mfl.eval_memo import EvalConfig, eval_term, run_program
 from mfl.memostore import Store
 from mfl.parser import parse
 from mfl.syntax import (
-    INT, UNIT, Apply, Bang, Inr, IntLit, LetBang, MFun, MFunVal, Pair, PrimOp,
-    Program, Res, Return, Roll, TBang, UnitLit, Var,
+    INT, UNIT, Apply, Bang, BoxVal, Inr, IntLit, LetBang, MFun, MFunVal, Pair, PrimOp,
+    Program, Res, Return, Roll, TBang, UnitLit, Var, type_eq,
 )
 from mfl.typecheck import check_program
 
@@ -32,10 +33,13 @@ DEFAULT_HOT_CALLS = eval_memo.HOT_CALLS
 
 @pytest.fixture
 def hot(monkeypatch):
-    """Set `HOT_CALLS`, with an empty factory cache. Returns a list, emptied
-    by each call, of the sites that have switched tiers since: generated
-    or, if their bodies could not be generated, left on the closures."""
+    """Set `HOT_CALLS`, with an empty factory cache and no generated site
+    kept for reuse. Returns a list, emptied by each call, of the sites
+    that have switched tiers since: generated or, if their bodies could
+    not be generated, left on the closures. Each call also forgets the
+    generated sites, so a later compile switches its own."""
     monkeypatch.setattr(tier, "_factories", {})
+    monkeypatch.setattr(eval_memo, "_hot_sites", {})
     made, generate = [], tier.generate
 
     def recording(site):
@@ -46,6 +50,7 @@ def hot(monkeypatch):
 
     def set_hot(n: int) -> list:
         monkeypatch.setattr(eval_memo, "HOT_CALLS", n)
+        monkeypatch.setattr(eval_memo, "_hot_sites", {})
         made.clear()
         return made
     return set_hot
@@ -389,3 +394,140 @@ def test_a_failed_check_leaves_the_function_and_program_untyped(hot):
     made = hot(0)
     assert _outcome(program)[0] == "Stuck: free variable 'y' at run time"
     assert made and all(site.run is site.cold for site in made)
+
+
+def _decl_sites(result) -> dict:
+    return {name: _site(v) for name, v in result.decl_values.items() if type(v) is MFunVal}
+
+
+@pytest.mark.parametrize("name", ["quicksort", "knapsack"])
+def test_a_later_compile_reuses_the_generated_sites(hot, name):
+    # the program parsed and checked afresh gets the sites its first
+    # compile generated: the same objects, which run generated code from
+    # their first activation, with the value and counters of a compile
+    # that reuses nothing
+    made = hot(4)
+    first = _decl_sites(run_program(_load(name), EvalConfig()))
+    generated = list(made)
+    assert generated and all(map(_is_generated, generated))
+    made.clear()
+    cfg = EvalConfig()
+    result = run_program(_load(name), cfg)
+    assert made == []
+    again = _decl_sites(result)
+    assert any(site in generated for site in first.values())
+    for decl, site in first.items():
+        assert (again[decl] is site) is (site in generated), decl
+    hot(4)
+    assert _outcome(_load(name)) == (repr(result.value), cfg.stats.as_dict(),
+                                     dict(cfg.stats.per_table))
+
+
+_TAKES = "val g = mfun f (a : !{}) : int is let !x = a in return 1 end end main g (!{})"
+_CAPTURES_Y = ("val y = {} val g = mfun f (a : !int) : int is let !x = a in "
+               "return x + keyof y end end main g (!3) + g (!4)")
+
+
+@pytest.mark.parametrize("first, again, typed, hot_calls", [
+    (_identity_plus(1), _identity_plus(2), True, 0),
+    (_TAKES.format("int", "3"), _TAKES.format("unit", "()"), True, 0),
+    (_CAPTURES_Y.format("box 55"), _CAPTURES_Y.format("box ()"), True, 0),
+    (_CAPTURES_Y.format("box 55"), _CAPTURES_Y.format("box 55"), False, 0),
+    (_CAPTURES_Y.format("box 55"), _CAPTURES_Y.format("box 55"), True, 1),
+], ids=["another-literal", "another-function-type", "captured-of-another-type", "untyped",
+        "another-hot-calls"])
+def test_a_compile_that_differs_gets_a_site_of_its_own(hot, monkeypatch, first, again,
+                                                       typed, hot_calls):
+    # a body that differs in a literal, an equal body of a function of
+    # another type, a captured name of another type, an unchecked program
+    # and another switch point: none gets the site that an earlier
+    # compile generated
+    made = hot(0)
+    site = _site(run_program(_parse(first), EvalConfig()).decl_values["g"])
+    assert made == [site] and _is_generated(site)
+    made.clear()
+    monkeypatch.setattr(eval_memo, "HOT_CALLS", hot_calls)
+    program = _parse(again) if typed else parse(again)
+    result = run_program(program, EvalConfig())
+    other = _site(result.decl_values["g"])
+    assert other is not site and made == [other]
+    assert _is_generated(other) is typed
+
+
+def test_generated_sites_kept_for_reuse_are_bounded(hot, monkeypatch):
+    # the table of generated sites holds `CACHE_SIZE` of them and drops
+    # the oldest beyond that
+    monkeypatch.setattr(tier, "CACHE_SIZE", 2)
+    hot(0)
+    for k in range(5):
+        src = (f"val g = mfun f{k} (a : !int) : int is let !x = a in return x + {k} end end "
+               "main g (!3)")
+        assert _outcome(_parse(src))[0] == repr(IntLit(3 + k))
+        assert len(eval_memo._hot_sites) == min(k + 1, 2)
+    assert [key[0] for key in eval_memo._hot_sites] == ["f3", "f4"]
+
+
+def test_a_compile_under_a_mutant_gets_a_site_of_its_own(hot):
+    # a site generated with the inline memo walk is not reused while a
+    # mutant replaces `mt_insert`, which then sees every insert
+    made = hot(0)
+    real = run_program(_load("quicksort"), EvalConfig())
+    assert any(map(len, real.store.tables.values()))
+    generated = list(made)
+    made.clear()
+    with mutant("skip_insert"):
+        skipped = run_program(_load("quicksort"), EvalConfig())
+    sites = _decl_sites(skipped).values()
+    assert made and all(_is_generated(site) and site not in generated for site in sites)
+    assert all(len(table) == 0 for table in skipped.store.tables.values())
+    assert skipped.stats.memo_hits == 0
+
+
+def test_an_ill_typed_store_runs_a_reused_sites_closures(hot):
+    made = hot(0)
+    program = _load("quicksort")
+    run_program(program, EvalConfig())
+    cfg, store = EvalConfig(), Store()
+    decls = run_program(Program(_load("quicksort").decls, UnitLit()), cfg, store).decl_values
+    hcons, mqs = decls["hcons"], decls["mqs"]
+    site = _site(mqs)
+    assert made and site in made and _is_generated(site)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return generated(*args)
+
+    generated, site.run = site.run, counted
+    lst = decls["empty"]
+    for key in (5, 3, 8):
+        lst = eval_term(store, Apply(hcons, Pair(Bang(IntLit(key)), Bang(lst))), cfg)[0]
+    assert decode_int_list(eval_term(store, Apply(mqs, Bang(lst)), cfg)[0],
+                           store.boxes) == [3, 5, 8]
+    assert calls
+    calls.clear()
+    with pytest.raises(Stuck):
+        eval_term(store, Apply(mqs, IntLit(3)), cfg)  # an int for a bang
+    assert store.ill_typed
+    assert decode_int_list(eval_term(store, Apply(mqs, Bang(lst)), cfg)[0],
+                           store.boxes) == [3, 5, 8]
+    assert calls == []
+
+
+def test_a_box_a_typed_body_returns_to_untyped_code_fits_its_type(hot_calls):
+    # a list cell `hcons` returns through `eval_term` is known to fit its
+    # result type, so the check of the next cons stops at it; on an
+    # ill-typed store nothing is recorded
+    for ill_typed in (False, True):
+        program = _load("quicksort")
+        cfg, store = EvalConfig(), Store()
+        decls = run_program(Program(program.decls, UnitLit()), cfg, store).decl_values
+        hcons = decls["hcons"]
+        store.ill_typed = ill_typed
+        cell = eval_term(store, Apply(hcons, Pair(Bang(IntLit(1)), Bang(decls["empty"]))),
+                         cfg)[0]
+        assert type(cell) is BoxVal
+        if ill_typed:
+            assert cell.tag not in store.fits
+        else:
+            assert type_eq(store.fits[cell.tag], _site(hcons).ty.res.item)
