@@ -31,9 +31,10 @@ code is kept in the site's `_Site` cell; the names the function
 captures become slots of its frame, filled from the enclosing frame
 whenever a value is made. The value carries its code, as a closure
 carries its code and environment (Landin 1964): `code` holds the
-site's cell and the tail of its frame, the captured values and then
-padding. An application runs the body its site holds; a function value
-that no evaluation made has no code, and applying it is stuck.
+site's cell, the captured values, and the tail of the closures' frame
+(those values, then padding). An application runs the body its site
+holds; a function value that no evaluation made has no code, and
+applying it is stuck.
 
 Function bodies have a second tier (Hölzle & Ungar 1994). A site's
 cell counts its activations, and after `HOT_CALLS` of them the body is
@@ -60,13 +61,15 @@ enters generated code: a memo entry made from ill-typed input is never
 read by code that trusts its types. A box a typed body returns to
 untyped code fits the body's result type, and is not walked again.
 
-Bindings live in a frame, one list per activation: the compiler gives
-every binder of a body its own slot and resolves each name occurrence
-to the slot of its innermost binder, in the style of the CEK machine
-(Felleisen & Friedman 1986) with the environment flattened. Slots 0-2
-hold the function value, the argument and the activation's application
-depth, 0 in a top-level frame: no depth is shared, so a run that raised
-leaves none to undo. A branch is a tuple and starts as `()`. Values stay
+Bindings live in a frame, one list per activation of the closures (a
+generated body takes the header as arguments, and its slots are
+locals): the compiler gives every binder of a body its own slot and
+resolves each name occurrence to the slot of its innermost binder, in
+the style of the CEK machine (Felleisen & Friedman 1986) with the
+environment flattened. Slots 0-2 hold the function value, the argument
+and the activation's application depth, 0 in a top-level frame: no
+depth is shared, so a run that raised leaves none to undo. A branch is
+a tuple and starts as `()`. Values stay
 closed terms all the same, because the one place a value can capture
 its surroundings, an `mfun` body, is closed by substitution when the
 function value is made. Erased memoized results therefore compare
@@ -106,7 +109,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .errors import DepthExceeded, DivisionByZero, InternalInvariantError, Stuck
+from . import memostore
+from .errors import DepthExceeded, DivisionByZero, InternalInvariantError, MflError, Stuck
 from .memostore import INL_EVENT, INR_EVENT, KIND_BANG, Store, index_of, mt_insert, mt_lookup
 from .memostore import _Node  # noqa: F401  (read by generated code, which runs in these globals)
 from .stats import EvalStats
@@ -184,7 +188,8 @@ def _check_loc(store: Store, loc: int) -> None:
 
 
 _LEAVES = frozenset((IntLit, UnitLit, BoxVal))
-_ATOMS = _LEAVES | {MFunVal, MFun}  # values of one node
+_FUNS = frozenset((MFunVal, MFun))
+_ATOMS = _LEAVES | _FUNS  # values of one node
 
 
 def _not_applicable(fn: Term) -> Stuck:
@@ -389,10 +394,9 @@ def _term_apply(t: Apply, vs, rs, unit):
     def ev(fr, cfg, store):
         cfg.stats.steps += 1
         fn = fn_c(fr, cfg, store)
-        tp = type(fn)
-        if tp is not MFunVal and tp is not MFun or fn.code is None:
+        if type(fn) not in _FUNS or fn.code is None:
             raise _not_applicable(fn)
-        site, tail = fn.code
+        site, cap, tail = fn.code
         arg = arg_c(fr, cfg, store)
         # the entry check of a typed body applied by untyped code
         if (untyped and site.ty is not None and not store.ill_typed
@@ -405,8 +409,8 @@ def _term_apply(t: Apply, vs, rs, unit):
         depth = fr[2] + 1
         if depth > cfg.depth_limit:
             raise _too_deep(cfg)
-        v = (site.run if cfg.plain and not store.ill_typed else site.cold)(
-            [fn, arg, depth] + tail, cfg, store, ())  # no spare slots, unlike `*tail`
+        v = (site.run(fn, arg, depth, cap, cfg, store) if site.hot and cfg.plain and not store.ill_typed
+             else site.cold([fn, arg, depth] + tail, cfg, store, ()))  # no spare slots, unlike `*tail`
         # a box a typed body returns to untyped code fits its result type
         if untyped and type(v) is BoxVal and site.ty is not None and not store.ill_typed:
             store.fits[v.tag] = site.ty.res.item
@@ -762,11 +766,12 @@ class _Site:
     """An `mfun` site: the variables `vnames` and resources `rnames` its
     body captures, the function's type `ty` if the site is typed (else
     None), and the body's code, compiled when the site makes its first
-    value. `cold` is the body as closures, which every policy runs.
-    `run` is what plain runs call: `cold` until the site has had
-    `HOT_CALLS` activations, then the generated function, unless the
-    body cannot be generated. `left` counts the activations down to
-    that switch and then stays 0; a site that a later compile reuses
+    value. `cold` is the body as closures, on a list frame, which every
+    policy runs. `run(f, arg, depth, cap, cfg, store)` is the generated
+    function, which plain runs call, once the site has had `HOT_CALLS`
+    activations and `hot` is set; until then, or if the body cannot be
+    generated, it is `_cold_entry`. `left` counts the activations down
+    to that switch and then stays 0; a site that a later compile reuses
     (`_hot_site`) has switched, so it is 0 from that compile's start.
     `sites` maps the body's own `mfun` terms to their sites. The site
     keeps the function term's body, names, source position and checked
@@ -775,11 +780,11 @@ class _Site:
     outlives the run."""
 
     __slots__ = ("vnames", "rnames", "ty", "fname", "arg", "pos", "body", "ctx", "cold",
-                 "run", "pad", "sites", "left")
+                 "run", "hot", "pad", "sites", "left")
 
     def __init__(self, vnames: tuple, rnames: tuple, ty: "TArrow | None"):
         self.vnames, self.rnames, self.ty = vnames, rnames, ty
-        self.cold = self.run = None
+        self.cold, self.run, self.hot = None, _cold_entry, False
         self.left = HOT_CALLS + 1
 
     def value(self, t: MFun, captured: list, cfg: EvalConfig, store: Store) -> Term:
@@ -788,21 +793,26 @@ class _Site:
         if self.cold is None:
             self.cold, self.pad, self.sites = _compile_body(t, self.vnames, self.rnames,
                                                             self.ty is not None)
-            self.run = self.cold
             self.fname, self.arg, self.pos = t.fname, t.arg, t.pos
             self.body, self.ctx = t.body, t.ctx
-        closed, code = t, (self, self.pad)
+        closed, code = t, (self, (), self.pad)
         if captured:
             # a value is a closed term: substitute what the body captures
             nv = len(self.vnames)
             closed = subst(t, dict(zip(self.vnames, captured)),
                            dict(zip(self.rnames, captured[nv:])))
-            code = (self, captured + self.pad)
+            code = (self, captured, captured + self.pad)
         if cfg.pure:
             closed.code = code
             return closed
         return MFunVal(store.alloc_table(), t.fname, t.arg, t.arg_type,
                        t.res_type, closed.body, code=code)
+
+
+def _cold_entry(f, arg, depth: int, cap, cfg: EvalConfig, store: Store):
+    """The entry of a site's closures for a generated caller: builds their frame."""
+    site, cap, tail = f.code
+    return site.cold([f, arg, depth] + tail, cfg, store, ())
 
 
 def _captured_types(ctx: tuple, vnames: tuple, rnames: tuple) -> list:
@@ -813,14 +823,20 @@ def _captured_types(ctx: tuple, vnames: tuple, rnames: tuple) -> list:
 # Generated sites, for later compiles of equal function terms
 # (`_hot_site`), by what their code depends on besides its body and
 # types: the names of the function term or site `fn` and of what it
-# captures, the switch point, and the memo store functions the generator
-# sees. The source position tells apart a program's functions of equal
-# names. Bounded like the factories.
+# captures, the switch point, and whether the generator walks memo
+# tables inline (if not, the code calls the `mt_lookup` and `mt_insert`
+# of the run). The source position tells apart a program's functions of
+# equal names. Bounded like the factories.
 _hot_sites: "dict[tuple, _Site]" = {}
 
 
+def walks_inline() -> bool:
+    """Whether no tracer or mutant has replaced `mt_lookup` or `mt_insert`."""
+    return mt_lookup is memostore.mt_lookup and mt_insert is memostore.mt_insert
+
+
 def _hot_key(fn, vnames: tuple, rnames: tuple) -> tuple:
-    return fn.fname, fn.arg, fn.pos, vnames, rnames, HOT_CALLS, mt_lookup, mt_insert
+    return fn.fname, fn.arg, fn.pos, vnames, rnames, HOT_CALLS, walks_inline()
 
 
 def _promote(site: _Site) -> None:
@@ -829,7 +845,7 @@ def _promote(site: _Site) -> None:
     compiles of an equal function term."""
     hot = tier.generate(site)
     if hot is not None:
-        site.run = hot
+        site.run, site.hot = hot, True
         if len(_hot_sites) >= tier.CACHE_SIZE:
             del _hot_sites[next(iter(_hot_sites))]
         _hot_sites[_hot_key(site, site.vnames, site.rnames)] = site

@@ -149,36 +149,37 @@ def mt_insert(table: MemoTable, branch, value, stats=None, on_dup: str = "error"
     table.entries += 1
 
 
-def lookup_source(codes: "list[str]") -> "tuple[str, str, str]":
+def lookup_source(codes: "list[str]") -> "tuple[str, str, str, str]":
     """`mt_lookup(T, [codes], S)` for a branch whose events are the
-    Python expressions `codes`, with `T` the table and `S` the stats in
-    scope: the walk, one simple statement that charges the probes; the
-    condition that it found a value; and the local that holds it. The
-    walk binds `W0`, `W1`, ...: `W<i+1>` is the slot of event i, or None
-    once the walk has left the table."""
+    Python expressions `codes`, with `T` the table in scope: the walk,
+    one simple statement; the probes it made, an expression, which is
+    `len(codes) + 1` when it found a value; the condition that it found
+    one; and the local that holds it. The walk binds `W0`, `W1`, ...:
+    `W<i+1>` is the slot of event i, or None once the walk has left the
+    table."""
     k = len(codes)
     walk = ["W0=T.root"] + [f"W{i + 1}=W{i}.children.get({code}) if type(W{i}) is _Node else None"
                             for i, code in enumerate(codes)]
     # one probe per event walked, up to the first one missing, plus one
     probes = "".join(f"{i + 1} if W{i} is None else " for i in range(1, k)) + str(k + 1)
     last = f"W{k}"
-    return (";".join([*walk, f"S.probes+={probes}"]),
-            f"{last} is not None and type({last}) is not _Node", last)
+    return ";".join(walk), probes, f"{last} is not None and type({last}) is not _Node", last
 
 
-def insert_source(codes: "list[str]", value: str) -> "list[str]":
+def insert_source(codes: "list[str]", value: str, probes: int = 0) -> "list[str]":
     """The statements of `mt_insert(T, [codes], value, S, on_dup='keep')`
-    for a branch whose events are the Python expressions `codes`. The
-    walk makes each absent inner level and stores `value` in place when
-    the last slot is free; a stored value on the way (a shorter branch),
-    a stored inner level at the end (a longer one) or a stored value at
-    the end (a duplicate) is left to `mt_insert`. It binds `W0`, `W1`,
-    ... as `lookup_source` does."""
+    for a branch whose events are the Python expressions `codes`, which
+    also charge `probes` more probes (an earlier lookup's). The walk
+    makes each absent inner level and stores `value` in place when the
+    last slot is free; a stored value on the way (a shorter branch), a
+    stored inner level at the end (a longer one) or a stored value at
+    the end (a duplicate) is left to `mt_insert`, in the last line, an
+    `else:`. It binds `W0`, `W1`, ... as `lookup_source` does."""
     k = len(codes)
-    fallback = f"else:mt_insert(T,[{','.join(codes)}],{value},S,on_dup='keep')"
+    fallback = f"else:S.probes+={probes};mt_insert(T,[{','.join(codes)}],{value},S,on_dup='keep')"
     if not k:
         return [f"if type(T.root) is _Node and not T.root.children:"
-                f"T.root={value};T.entries+=1;S.probes+=1", fallback]
+                f"T.root={value};T.entries+=1;S.probes+={1 + probes}", fallback]
     lines = ["W0=T.root"]
     for i, code in enumerate(codes[:-1]):
         lines += [f"if type(W{i}) is not _Node:W{i + 1}=None",
@@ -186,7 +187,7 @@ def insert_source(codes: "list[str]", value: str) -> "list[str]":
                   f"W{i + 1}=W{i}.children[{code}]=_Node()"]
     last = f"W{k - 1}"
     return [*lines, f"if type({last}) is _Node and {codes[-1]} not in {last}.children:"
-                    f"{last}.children[{codes[-1]}]={value};T.entries+=1;S.probes+={k + 1}",
+                    f"{last}.children[{codes[-1]}]={value};T.entries+=1;S.probes+={k + 1 + probes}",
             fallback]
 
 

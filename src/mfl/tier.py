@@ -5,11 +5,13 @@
 source of one Python function for the plain policy (normal mode,
 unchecked, untraced), in the style of Hölzle & Ungar's tiered SELF
 compiler (1994). Every node of the body is inlined into that function,
-and the frame's slots become Python locals. The function takes the
-closures' arguments, `(frame, cfg, store, branch)`, so an application
-calls either tier the same way. It ignores `branch`, which is always
-`()` on entry: the events of a path are known statically, so each
-`return` builds its branch from them. Its callees' depth is read once.
+and the frame's slots become Python locals. Its entry is positional,
+`run(f, arg, depth, cap, cfg, store)`, with `cap` the captured values
+that the function value's `code` holds: no list frame is built between
+generated bodies (Steele, MIT AI Memo 443, 1977: pass arguments where
+the callee wants them), and a callee that is not generated is reached
+through `eval_memo._cold_entry`. The events of a path are known
+statically, so each `return` builds its branch from them.
 
 Only typed bodies are generated (`_Site.ty`), and their code is written
 from the types the checker left on the nodes, as in Tarditi et al.'s
@@ -24,15 +26,19 @@ at run time, by `_lookup_steps`. A `let !` event reads `.value`, `.tag`
 or `index_of` as its binder's type says.
 
 The generated code charges what the closures charge, and it raises the
-same errors with the same messages. Charges are summed and added
-before the next call or raise, so the counters at any error are those
-of the closures. A `return` walks its memo table inline, with
-straight-line code from `memostore.lookup_source` and
-`memostore.insert_source`, which charge what `mt_lookup` and
-`mt_insert` charge. The code runs in `eval_memo`'s globals, where
-perfbench's tracer and the tests' mutants replace `mt_lookup` or
-`mt_insert`; a body generated while either is replaced calls them
-instead, so they see every lookup and insert.
+same errors with the same messages. The charges of a path are summed
+and added once, where it ends (at a joining `if` or `case` term, an
+arm adds what it charges beyond the other). Before anything that may
+raise, the body notes what is pending in `p`, which one handler adds
+before it re-raises, so the counters at any error are those of the
+closures. Only the first call on a path tests the callees' depth. A
+`return` walks its memo table inline, with straight-line code from
+`memostore.lookup_source` and `memostore.insert_source`, which charge
+what `mt_lookup` and `mt_insert` charge. The code runs in `eval_memo`'s
+globals, where perfbench's tracer and the tests' mutants replace
+`mt_lookup` or `mt_insert`; a body generated while either is replaced
+calls whatever they are when it runs, so they see every lookup and
+insert.
 
 As in the closures, `!x` of a `let !`-bound `x` is the bang that `let !`
 took apart, kept only where some `!x` reads it: the same value and
@@ -56,7 +62,6 @@ import threading
 
 from . import eval_memo
 from .eval_memo import _VALUE_NODES, _value_size
-from . import memostore
 from .memostore import INL_EVENT, INR_EVENT, KIND_BANG, insert_source, lookup_source
 from .syntax import (
     Apply, Bang, Box, Inl, Inr, KeyOf, LetBang, LetPair, MCase, MFun,
@@ -125,18 +130,18 @@ def _size(ty) -> "int | None":
 
 
 class _Gen:
-    """Writes one body. Names in the source: `S` the stats, `D` the
-    callees' depth, `b<i>` the binders (each bound once on a path),
-    `x<i>` temporaries (a stack, reused once consumed), `e<i>` branch
-    events, `k<i>` the factory's arguments, and `L`, `T`, `B`, `F`, `C`,
-    `P`, `c` and the memo walk's `W<i>` the scratch of a `return`; the
-    callees get the branch `()`."""
+    """Writes one body. Names in the source: `S` the stats, `d` and `D`
+    the activation's depth and its callees', `p` the pending charges,
+    `b<i>` the binders (each bound once on a path), `x<i>` temporaries
+    (a stack, reused once consumed), `e<i>` branch events, `k<i>` the
+    factory's arguments, and `L`, `T`, `B`, `F`, `C`, `P`, `c` and the
+    memo walk's `W<i>` the scratch of a `return`."""
 
     def __init__(self, site):
         self.site = site
         self.lines: "list[str]" = []
         self.consts: list = []
-        self.ind = 2
+        self.ind = 3
         self.depth = 0
         self.nbind = 0
         self.ntemp = 0
@@ -144,14 +149,12 @@ class _Gen:
         self.types: dict = {}  # the static type of each binder
         self.scruts: "dict[str, str]" = {}  # `let !` binder -> the bang it took apart
         self.bangs: "dict[str, str]" = {}  # `let !` binder -> the name that keeps its bang
-        # walk the memo table inline, unless the memo store's functions
-        # have been replaced in eval_memo (by a tracer or a mutant), which
-        # then must see every lookup and insert
-        self.inline = (eval_memo.mt_lookup is memostore.mt_lookup
-                       and eval_memo.mt_insert is memostore.mt_insert)
-        # charges summed but not yet added: steps, branch events, box
-        # allocations, and the branch length max_branch_len must reach
-        self.steps = self.events = self.boxes = self.maxlen = 0
+        self.inline = eval_memo.walks_inline()
+        # charges summed but not yet added: steps, branch events (as many
+        # as the branch is long), box allocations and a missed lookup's probes
+        self.steps = self.events = self.boxes = self.probes = 0
+        self.tested = False  # the callees' depth has been tested on this path
+        self.noted = None  # what `p` holds on this path, if known
 
     # ---- emitting ----
 
@@ -169,26 +172,29 @@ class _Gen:
         self.types.update(zip(binders, [gamma[site.fname], delta[site.arg],
                                         *map(gamma.get, site.vnames),
                                         *map(delta.get, site.rnames)]))
-        reads = [f"{b}=fr[{i + (i > 1)}]" for i, b in enumerate(binders)]  # slot 2: the depth
-        self.emit(";".join(["S=cfg.stats", "D=fr[2]+1", *reads]))
         self.expr(site.body, vs, rs, ())
+        unpack = f";{''.join(b + ',' for b in binders[2:])}=cap" if ncap else ""
         args = "".join(f"k{i}," for i in range(len(self.consts)))
-        return "\n".join([f"def _factory({args}):", " def run(fr,cfg,store,branch):",
-                          *self.lines, " return run", ""])
+        return "\n".join([f"def _factory({args}):", " def run(b0,b1,d,cap,cfg,store):",
+                          f"  S=cfg.stats{unpack}", "  try:", *self.lines,
+                          "  except MflError:s,e,b,q=p;S.steps+=s;S.branch_events+=e;S.boxes_allocated+=b;"
+                          "S.probes+=q;S.max_branch_len=max(S.max_branch_len,e);raise",
+                          " return run", ""])
 
     def emit(self, line: str) -> None:
         self.lines.append(" " * self.ind + line)
 
-    def flush(self) -> None:
-        """Add the summed charges, before a call that may raise."""
-        adds = [f"S.{name}+={n}" for name, n in (("steps", self.steps),
-                                                 ("branch_events", self.events),
-                                                 ("boxes_allocated", self.boxes)) if n]
-        if adds:
-            self.emit(";".join(adds))
-        if self.maxlen:
-            self.emit(f"if {self.maxlen}>S.max_branch_len:S.max_branch_len={self.maxlen}")
-        self.steps = self.events = self.boxes = self.maxlen = 0
+    def adds(self, steps: int, boxes: int, probes: int = 0) -> "list[str]":
+        """The statements that add `steps`, `boxes` and `probes`."""
+        return [f"S.{name}+={n}" for name, n in (("steps", steps), ("boxes_allocated", boxes),
+                                                 ("probes", probes)) if n]
+
+    def pending(self) -> None:
+        """Note the summed charges in `p`, for the handler, before a raise."""
+        noted = self.steps, self.events, self.boxes, self.probes
+        if noted != self.noted:
+            self.emit(f"p=({','.join(map(str, noted))})")
+            self.noted = noted
 
     def const(self, value) -> str:
         self.consts.append(value)
@@ -214,15 +220,15 @@ class _Gen:
         return f"x{self.ntemp - 1}"
 
     def state(self):
-        return self.steps, self.events, self.boxes, self.maxlen, self.ntemp
+        return self.steps, self.events, self.boxes, self.probes, self.ntemp, self.tested, self.noted
 
     def restore(self, state) -> None:
-        self.steps, self.events, self.boxes, self.maxlen, self.ntemp = state
+        self.steps, self.events, self.boxes, self.probes, self.ntemp, self.tested, self.noted = state
 
     def nest(self, head: str):
         self.emit(head)
         self.ind += 1
-        if self.ind > MAX_DEPTH + 2:
+        if self.ind > MAX_DEPTH + 3:
             raise _NoCode
 
     # ---- terms: each returns an expression for its value ----
@@ -256,8 +262,7 @@ class _Gen:
         if n is not None:
             self.steps += n
         else:
-            n, self.steps = self.steps, 0
-            self.emit(f"S.steps+={f'{n}+' if n else ''}_lookup_steps(store,{x},cfg)")
+            self.emit(f"S.steps+=_lookup_steps(store,{x},cfg)")
         return x
 
     def split_pair(self, t, vs, rs) -> dict:
@@ -274,17 +279,19 @@ class _Gen:
         self.steps += 1
         base = self.ntemp
         f = self.hold(self.term(t.fn, vs, rs))
-        site, tail = self.hold_name(), self.hold_name()
-        self.emit(f"{site},{tail}={f}.code")
+        site, cap = self.hold_name(), self.hold_name()
+        self.emit(f"{site},{cap},_={f}.code")
         arg = self.term(t.arg, vs, rs)
-        self.flush()
+        self.pending()
         self.ntemp = base
         out = self.hold_name()
         # count the activation and switch the site after the last, as
-        # the closures do
+        # the closures do; the callees' depth is one per activation
         self.emit(f"if {site}.left:{site}.left-=1;{site}.left or _promote({site})")
-        self.emit("if D>cfg.depth_limit:raise _too_deep(cfg)")
-        self.emit(f"{out}={site}.run([{f},{arg},D]+{tail},cfg,store,())")
+        if not self.tested:
+            self.emit("if (D:=d+1)>cfg.depth_limit:raise _too_deep(cfg)")
+            self.tested = True
+        self.emit(f"{out}={site}.run({f},{arg},D,{cap},cfg,store)")
         return out
 
     def int_operands(self, t: PrimOp, vs, rs):
@@ -308,7 +315,7 @@ class _Gen:
             return f"IntLit(1 if {a}{op}{b} else 0)" if op in _COMPARE else f"IntLit({a}{op}{b})"
         if len(args) == 2 and op == "div":
             a, b = self.int_operands(t, vs, rs)
-            self.flush()
+            self.pending()
             self.ntemp = base
             out = self.hold_name()
             self.emit(f"{out}=IntLit(_div({a},{b}))")
@@ -344,7 +351,6 @@ class _Gen:
         self.steps += 1
         inner = self.site.sites[t]
         captured = [vs[name] for name in inner.vnames] + [rs[name] for name in inner.rnames]
-        self.flush()
         out = self.hold_name()
         self.emit(f"{out}={self.const(inner)}.value({self.const(t)},"
                   f"[{','.join(captured)}],cfg,store)")
@@ -371,16 +377,24 @@ class _Gen:
         self.steps += 1
         out = self.hold_name()
         arms = self.sum_test(t.scrut, t.ty, vs, rs)
+        ends = []
         for (head, binder, value), arm, name in zip(arms, (t.left_arm, t.right_arm),
                                                     (t.left_name, t.right_name)):
             state = self.state()
             self.arm(head, binder, value)
             v = self.term(arm, vs, {**rs, name: binder})
-            self.flush()
             self.emit(f"{out}={v}")
+            ends.append((len(self.lines) - 1, self.lines[-1], self.steps, self.boxes, self.tested))
             self.ind -= 1
             self.restore(state)
-        self.steps = self.events = self.boxes = self.maxlen = 0
+        # what both arms charge stays pending past the join; an arm adds
+        # only what it charges beyond that
+        self.steps, self.boxes = (min(end[i] for end in ends) for i in (2, 3))
+        for at, line, steps, boxes, _ in ends:
+            adds = self.adds(steps - self.steps, boxes - self.boxes)
+            self.lines[at] = line.replace(f" {out}=", f" {';'.join([*adds, ''])}{out}=", 1)
+        self.tested = self.tested or all(end[4] for end in ends)
+        self.noted = None
         return out
 
     def sum_test(self, scrut, ty, vs, rs):
@@ -429,30 +443,39 @@ class _Gen:
 
     def event(self, events: tuple, code: str) -> tuple:
         self.events += 1
-        self.maxlen = len(events) + 1
         return events + (code,)
 
     def ret(self, e: Return, vs, rs, events):
+        # the path's events are all known here, and added; its steps and
+        # boxes are added where it ends, on a hit with the walk's probes
         self.steps += 1
-        self.flush()
-        self.emit("L=b0.loc;T=store.tables[L]")
+        n, self.events = self.events, 0
+        self.emit(f"L=b0.loc;T=store.tables[L]{f';S.branch_events+={n}' if n else ''}")
+        if n:
+            self.emit(f"if {n}>S.max_branch_len:S.max_branch_len={n}")
         hit = "S.memo_hits+=1;S.returns+=1;P=S.per_table;c=P.get(L) or P.setdefault(L,[0,0]);c[0]+=1"
+        miss = "S.memo_misses+=1;P=S.per_table;c=P.get(L) or P.setdefault(L,[0,0]);c[1]+=1"
         if self.inline:
-            walk, found, value = lookup_source(list(events))
+            walk, probes, found, value = lookup_source(list(events))
             self.emit(walk)
-            self.emit(f"if {found}:{hit};return {value}")
         else:
             self.emit(f"B=[{','.join(events)}];F,C=mt_lookup(T,B,S)")
-            self.emit(f"if F:{hit};return C")
-        self.emit("S.memo_misses+=1;P=S.per_table;c=P.get(L) or P.setdefault(L,[0,0]);c[1]+=1")
+            probes, found, value = "0", "F", "C"  # mt_lookup has added them
+        on_hit = self.adds(self.steps, self.boxes, len(events) + 1 if self.inline else 0)
+        self.emit(f"if {found}:{';'.join([*on_hit, hit])};return {value}")
+        static = probes.isdigit()  # the same on every miss: added with the insert's
+        self.probes = int(probes) if static else 0
+        self.emit(miss if static else f"S.probes+={probes};{miss}")
         v = self.hold(self.term(e.body, vs, rs))
-        self.flush()
+        note = f"p=({self.steps},0,{self.boxes},0);"  # what is pending if `mt_insert` raises
         if self.inline:
-            for line in insert_source(list(events), v):
+            *walk, fallback = insert_source(list(events), v, self.probes)
+            for line in walk:
                 self.emit(line)
-            self.emit(f"S.returns+=1;return {v}")
+            self.emit(fallback.replace("else:", "else:" + note, 1))
         else:
-            self.emit(f"mt_insert(T,B,{v},S,on_dup='keep');S.returns+=1;return {v}")
+            self.emit(f"{note}mt_insert(T,B,{v},S,on_dup='keep')")
+        self.emit(";".join([*self.adds(self.steps, self.boxes), "S.returns+=1", f"return {v}"]))
 
     def let_bang(self, e: LetBang, vs, rs, events):
         self.steps += 1

@@ -292,10 +292,11 @@ def _template(codes: tuple):
     module's globals as generated code runs in the evaluator's."""
     made = _templates.get(codes)
     if made is None:
-        walk, found, value = lookup_source(list(codes))
+        walk, probes, found, value = lookup_source(list(codes))
         args = "".join(f",{c}" for c in codes if c.isidentifier())
         src = "\n".join([f"def lookup(T,S{args}):", f" {walk}",
-                         f" if {found}:return True,{value}", " return False,None",
+                         f" if {found}:S.probes+={len(codes) + 1};return True,{value}",
+                         f" S.probes+={probes};return False,None",
                          f"def insert(T,S,v{args}):",
                          *(f" {line}" for line in insert_source(list(codes), "v")), ""])
         names: dict = {}

@@ -61,7 +61,13 @@ def _site(value):
 
 
 def _is_generated(site) -> bool:
-    return site.run is not site.cold and site.run.__code__.co_filename == GENERATED
+    return site.hot and site.run.__code__.co_filename == GENERATED
+
+
+def _on_closures(site) -> bool:
+    """Whether every policy runs the site's closures: its body is not
+    generated, and generated callers reach them through the adapter."""
+    return not site.hot and site.run is eval_memo._cold_entry
 
 
 def _typed(program: Program) -> Program:
@@ -145,7 +151,7 @@ def test_value_made_while_cold_runs_the_generated_code(hot):
     generated, calls = site.run, []
 
     def counted(*args):
-        calls.append(args[0][0])
+        calls.append(args[0])
         return generated(*args)
 
     site.run = counted
@@ -181,7 +187,7 @@ def test_body_past_the_nesting_cap_stays_on_closures(hot):
     hot(0)
     result = run_program(_parse(src), EvalConfig())
     site = _site(result.decl_values["deep"])
-    assert site.left == 0 and site.run is site.cold
+    assert site.left == 0 and _on_closures(site)
     assert _outcome(_parse(src)) == cold
     assert cold[0] == repr(IntLit(2 * depth + 3))
 
@@ -201,7 +207,7 @@ def test_stuck_body_stays_on_closures(hot, body):
         eval_term(store, Apply(g, Bang(IntLit(4))), cfg)
     site = _site(g)
     assert site.left == 0  # the site has switched
-    assert site.run is site.cold
+    assert _on_closures(site)
 
 
 _BODY = ("val g = mfun f (a : !int) : int is let !x = a in return {body} end end "
@@ -292,19 +298,21 @@ def test_tier_shapes_agree_with_the_closures(hot):
 @pytest.mark.parametrize("name", ["quicksort", "knapsack"])
 def test_hot_bodies_are_written_from_their_types(hot, name):
     # every hot body of a typechecked corpus program is generated, with
-    # constant read charges, no stuck path or type register, and no
-    # shared depth to restore; the same program unchecked stays on the
-    # closures
+    # constant read charges, no stuck path or type register, no shared
+    # depth to restore, and one handler, which adds the pending charges
+    # and re-raises; the same program unchecked stays on the closures
     made = hot(0)
     run_program(_load(name), EvalConfig())
     assert made and all(map(_is_generated, made))
     assert tier._factories
     for src in tier._factories:
         assert "Stuck(" not in src and "_lookup_steps" not in src and "t=type(" not in src
-        assert not re.search(r"cfg\.depth\b", src) and "try:" not in src and "finally:" not in src
+        assert not re.search(r"cfg\.depth\b", src) and "finally:" not in src
+        assert src.count("try:") == src.count("except MflError:") == 1
+        assert src.endswith(";raise\n return run\n")
     made = hot(0)
     run_program(load(name), EvalConfig())
-    assert made and all(site.run is site.cold for site in made)
+    assert made and all(map(_on_closures, made))
 
 
 _UNCHECKED = "val f = mfun f (a : !int) : int is let !x = a in return x end end main 0"
@@ -393,7 +401,7 @@ def test_a_failed_check_leaves_the_function_and_program_untyped(hot):
     assert fun.ctx is None and program.ty is None
     made = hot(0)
     assert _outcome(program)[0] == "Stuck: free variable 'y' at run time"
-    assert made and all(site.run is site.cold for site in made)
+    assert made and all(map(_on_closures, made))
 
 
 def _decl_sites(result) -> dict:
@@ -531,3 +539,67 @@ def test_a_box_a_typed_body_returns_to_untyped_code_fits_its_type(hot_calls):
             assert cell.tag not in store.fits
         else:
             assert type_eq(store.fits[cell.tag], _site(hcons).ty.res.item)
+
+
+@pytest.mark.parametrize("name", ["quicksort", "knapsack"])
+def test_counters_at_every_depth_limit_are_the_closures(hot, name):
+    # each limit below the run's maximum depth raises at another
+    # application, with charges pending on the generated tier: the error,
+    # its message and the counters are the closures'
+    limit = 1
+    while True:
+        hot(10 ** 9)
+        cold = _outcome(_load(name), depth_limit=limit)
+        made = hot(0)
+        assert _outcome(_load(name), depth_limit=limit) == cold, limit
+        assert any(map(_is_generated, made))
+        if not cold[0].startswith("DepthExceeded"):
+            break
+        limit += 1
+    assert limit > 3
+
+
+def test_counters_at_a_division_by_zero_after_calls_are_the_closures(hot):
+    # the division raises after two calls on its path, one of them in an
+    # arm of an `if` that charges more than the other
+    src = ("val id = mfun i (n : !int) : int is let !m = n in return m end end "
+           "val g = mfun f (a : !int) : int is let !x = a in "
+           "return (id (!x) + (if x - 3 then id (!1) + 2 else id (!2)) + 100 div (x - 3)) end end "
+           "main g (!4) + g (!3)")
+    hot(10 ** 9)
+    cold = _outcome(_parse(src))
+    assert cold[0] == "DivisionByZero: div by zero"
+    for n in (0, 1):
+        made = hot(n)
+        assert _outcome(_parse(src)) == cold
+        assert any(map(_is_generated, made))
+
+
+def test_a_compile_under_other_wrappers_reuses_the_site_and_calls_them(hot, monkeypatch):
+    # a site generated while wrappers replace `mt_lookup` and `mt_insert`
+    # calls whatever the module's globals hold when it runs, so a later
+    # compile under another pair reuses it, and that pair sees every
+    # lookup and insert
+    made = hot(0)
+    runs = []
+    for _ in range(2):
+        calls = {"lookup": 0, "insert": 0}
+
+        def lookup(*args, calls=calls):
+            calls["lookup"] += 1
+            return memostore.mt_lookup(*args)
+
+        def insert(*args, calls=calls, **kwargs):
+            calls["insert"] += 1
+            return memostore.mt_insert(*args, **kwargs)
+
+        monkeypatch.setattr(eval_memo, "mt_lookup", lookup)
+        monkeypatch.setattr(eval_memo, "mt_insert", insert)
+        result = run_program(_load("quicksort"), EvalConfig())
+        runs.append((_decl_sites(result), list(made), calls, result.stats))
+        made.clear()
+    (first, generated, _, _), (again, regenerated, calls, stats) = runs
+    assert generated and all(map(_is_generated, generated)) and regenerated == []
+    assert any(site in generated for site in first.values())
+    assert all(again[decl] is site for decl, site in first.items() if site in generated)
+    assert calls == {"lookup": stats.returns, "insert": stats.memo_misses}
