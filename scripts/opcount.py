@@ -66,7 +66,8 @@ KINDS = (
     ("call", r"\.code$|\.run\("),
     ("charge", r"^S\.(steps|branch_events|boxes_allocated)\+=|max_branch_len|^p=|_charge|^raise$"),
     ("memo walk", r"^[LTB]=|W\d|^F,C=|^F$|mt_lookup|mt_insert|S\.probes|_Node|T\.entries"),
-    ("counters", r"memo_hits|memo_misses|S\.returns|^P=|^c=|^c\["),
+    ("counters", r"memo_hits|memo_misses|S\.returns|^P=|^c=|^c\[|^T\.stats|count_for|"
+                 r"^T\.counts\.|computed_returns"),
     ("other", r""),
 )
 MODULES = ("corpus", "deepcall", "eval_memo", "eval_pure", "gen",

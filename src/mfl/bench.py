@@ -38,30 +38,27 @@ def _quicksort_trial(program: Program, base_keys: "list[int]", new_key: int) -> 
     for k in reversed(base_keys):
         lst = eval_term(store, Apply(hcons, Pair(Bang(IntLit(k)), Bang(lst))), cfg)[0]
 
-    def table_counts():
-        cell = stats.per_table.get(mqs.loc)
-        return (cell[0], cell[1]) if cell else (0, 0)
-
     work0 = stats.total_work()
     sorted_v = eval_term(store, Apply(mqs, Bang(lst)), cfg)[0]
     fresh_steps = stats.total_work() - work0
     if decode_int_list(sorted_v, store.boxes) != sorted(base_keys):
         raise MflError("quicksort benchmark produced an unsorted result")
 
-    hits0, misses0 = table_counts()
+    # the record of `stats` for mqs's table, which the sort has counted into
+    mqs_counts = mqs.table.counts
+    hits0, misses0 = mqs_counts.hits, mqs_counts.misses
     work1 = stats.total_work()
     bigger = eval_term(store, Apply(hcons, Pair(Bang(IntLit(new_key)), Bang(lst))), cfg)[0]
     rerun_v = eval_term(store, Apply(mqs, Bang(bigger)), cfg)[0]
     rerun_steps = stats.total_work() - work1
-    hits1, misses1 = table_counts()
     if decode_int_list(rerun_v, store.boxes) != sorted(base_keys + [new_key]):
         raise MflError("quicksort rerun produced an unsorted result")
 
     return {
         "fresh_steps": fresh_steps,
         "rerun_steps": rerun_steps,
-        "rerun_hits": hits1 - hits0,
-        "rerun_misses": misses1 - misses0,
+        "rerun_hits": mqs_counts.hits - hits0,
+        "rerun_misses": mqs_counts.misses - misses0,
     }
 
 

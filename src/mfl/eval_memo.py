@@ -1,7 +1,7 @@
 """The one evaluator, compiled to Python closures, and its policies.
 
 Under the memo policy terms evaluate against a store; evaluating a
-function term allocates a fresh, empty memo table and stamps its
+function term allocates a fresh, empty memo table and puts it and its
 location on the resulting value. Applying a function evaluates its
 body as an *expression* relative to the callee's own table, starting
 from the empty branch, `()`. Expression evaluation explores the argument
@@ -9,6 +9,8 @@ from the empty branch, `()`. Expression evaluation explores the argument
 until a `return` completes the body: the accumulated branch keys the
 memo table, either yielding the stored result or binding the freshly
 computed one. `cold` pays for every lookup and insert but never reuses.
+A `return` counts its hit or miss in the table's record for the running
+config alone (`mfl.stats`); one that runs its body, in `computed_returns`.
 
 The pure policy is the paper's reference semantics: the memo semantics
 with the store deleted. A function evaluates to itself (its closed
@@ -630,36 +632,26 @@ def _expr_return(e: Return, vs, rs, unit):
         if cfg.pure:
             # no table: always evaluate, store nothing
             v = body_c(fr, cfg, store)
-            stats.returns += 1
+            stats.computed_returns += 1
             return v
-        loc = fr[0].loc
-        table = store.tables[loc]
+        table = fr[0].table
         found, cached = mt_lookup(table, branch, stats)
+        if table.stats is not stats:
+            table.count_for(stats)
         if found and cfg.reuse:
-            stats.memo_hits += 1
-            stats.returns += 1
-            cell = stats.per_table.get(loc)
-            if cell is None:
-                stats.per_table[loc] = [1, 0]
-            else:
-                cell[0] += 1
+            table.counts.hits += 1
             if cfg.trace:
-                stats.events.append(("hit", loc, branch))
+                stats.events.append(("hit", table.loc, branch))
             return cached
-        stats.memo_misses += 1
-        cell = stats.per_table.get(loc)
-        if cell is None:
-            stats.per_table[loc] = [0, 1]
-        else:
-            cell[1] += 1
+        table.counts.misses += 1
         if cfg.trace:
-            stats.events.append(("miss", loc, branch))
+            stats.events.append(("miss", table.loc, branch))
         if free and cfg.checked:
             raise InternalInvariantError(f"return body has free resources {free}")
         v = body_c(fr, cfg, store)
         mt_insert(table, branch, v, stats,
                   on_dup="error" if cfg.checked and cfg.reuse else "keep")
-        stats.returns += 1
+        stats.computed_returns += 1
         return v
     return ex
 
@@ -805,8 +797,9 @@ class _Site:
         if cfg.pure:
             closed.code = code
             return closed
-        return MFunVal(store.alloc_table(), t.fname, t.arg, t.arg_type,
-                       t.res_type, closed.body, code=code)
+        loc = store.alloc_table()
+        return MFunVal(loc, t.fname, t.arg, t.arg_type, t.res_type, closed.body, code=code,
+                       table=store.tables[loc])
 
 
 def _cold_entry(f, arg, depth: int, cap, cfg: EvalConfig, store: Store):
@@ -880,10 +873,11 @@ def eval_expr(store: Store, loc: int, branch, e: Expr, cfg: "EvalConfig | None" 
     from `branch` (a sequence of encoded events)."""
     if cfg is None:
         cfg = EvalConfig()
+    _check_loc(store, loc)
     unit = _Unit(3)
     ex = _compile_expr(e, {}, {}, unit)
-    # slot 0 stands for the function value: only its location is read
-    frame = [SimpleNamespace(loc=loc), None, 0] + [None] * (unit.size - 3)
+    # slot 0 stands for the function value: only its location and table are read
+    frame = [SimpleNamespace(loc=loc, table=store.tables[loc]), None, 0] + [None] * (unit.size - 3)
     return ex(frame, cfg, store, tuple(branch)), store
 
 

@@ -5,7 +5,9 @@ body runs: the index of each value whose bang was eliminated, and which
 arm each memoized case took. Memo tables are nested hash tables keyed one
 event per level, so a lookup or insert of a branch with m events costs
 m (+1) hash probes. The store maps a location to the memo table of the
-function value allocated there, and doubles as the box registry.
+function value allocated there (which holds it too, and walks it), and
+doubles as the box registry. A table holds the hit and miss record of
+the config that last counted into it (`count_for`).
 
 `lookup_source` and `insert_source` are the two operations as Python
 source, for a branch whose length is known when the source is written:
@@ -63,20 +65,36 @@ class _Node:
 _MISSING = _Node()  # an absent slot; it is never linked into a table
 
 
+class Counts:
+    """The hits and misses that one `EvalStats` counted at one location."""
+
+    __slots__ = ("hits", "misses")
+
+    def __init__(self):
+        self.hits = self.misses = 0
+
+
 class MemoTable:
     """A tree of hash tables: each level keys on one encoded event.
 
     `root` is the first level, or, once the empty branch is stored, that
     branch's value itself. Bindings are extension-only. Because every
     recorded branch ends at a completed function body, no stored branch
-    may be a strict prefix of another; inserts check this.
+    may be a strict prefix of another; inserts check this. `loc` is the
+    table's location; `counts` is the record that `stats` keeps for it.
     """
 
-    __slots__ = ("root", "entries")
+    __slots__ = ("root", "entries", "loc", "stats", "counts")
 
-    def __init__(self):
+    def __init__(self, loc: "int | None" = None):
         self.root = _Node()
         self.entries = 0
+        self.loc = loc
+        self.stats = self.counts = None
+
+    def count_for(self, stats) -> None:
+        """Count this table's hits and misses into `stats` from now on."""
+        self.stats, self.counts = stats, stats.counts.setdefault(self.loc, Counts())
 
     def __len__(self) -> int:
         return self.entries
@@ -212,7 +230,7 @@ class Store:
     def alloc_table(self) -> int:
         loc = self.next_loc
         self.next_loc = loc + 1
-        self.tables[loc] = MemoTable()
+        self.tables[loc] = MemoTable(loc)
         return loc
 
     def alloc_box(self, v: Term) -> BoxVal:

@@ -277,7 +277,9 @@ class MFunVal(Term):
 
     Never produced by the parser; appears only in evaluator output and
     intermediate terms. `code` is what an application runs, as for a
-    pure `MFun`; a value that no evaluation made has none.
+    pure `MFun`, and `table` the memo table its returns walk, the one at
+    `loc` in the store it was made in; a value that no evaluation made
+    has neither.
     """
 
     loc: int
@@ -289,6 +291,7 @@ class MFunVal(Term):
     pos: Optional[Pos] = None
     fvs: "frozenset[str] | None" = None
     code: "tuple | None" = field(default=None, repr=False)
+    table: "object | None" = field(default=None, repr=False)
 
 
 @dataclass(slots=True, eq=False)
@@ -486,7 +489,7 @@ class TypeContext:
 # --------------------------------------------------------------------------
 
 _FIELDS_CACHE: "dict[type, tuple[str, ...]]" = {}
-_CACHES = ("pos", "fvs", "code", "ty", "ctx")  # position and caches: no part of the structure
+_CACHES = ("pos", "fvs", "code", "table", "ty", "ctx")  # position, caches, links: no structure
 
 
 def node_fields(cls: type) -> "tuple[str, ...]":
@@ -499,7 +502,7 @@ def node_fields(cls: type) -> "tuple[str, ...]":
 
 def term_eq(a: Node, b: Node, same_box=None) -> bool:
     """Structural equality of terms/expressions, ignoring positions and
-    the `fvs`, `code`, `ty` and `ctx` caches.
+    the `fvs`, `code`, `table`, `ty` and `ctx` caches.
 
     Types embedded in nodes compare with `type_eq` (alpha-equivalence);
     locations compare literally, and so do box tags unless `same_box`

@@ -32,13 +32,15 @@ arm adds what it charges beyond the other). Before anything that may
 raise, the body notes what is pending in `p`, which one handler adds
 before it re-raises, so the counters at any error are those of the
 closures. Only the first call on a path tests the callees' depth. A
-`return` walks its memo table inline, with straight-line code from
-`memostore.lookup_source` and `memostore.insert_source`, which charge
-what `mt_lookup` and `mt_insert` charge. The code runs in `eval_memo`'s
-globals, where perfbench's tracer and the tests' mutants replace
-`mt_lookup` or `mt_insert`; a body generated while either is replaced
-calls whatever they are when it runs, so they see every lookup and
-insert.
+`return` walks the function value's memo table inline, with
+straight-line code from `memostore.lookup_source` and
+`memostore.insert_source`, which charge what `mt_lookup` and `mt_insert`
+charge, and adds its hit or miss to the table's record, as the closures
+do; `computed_returns` counts the misses. The code runs in
+`eval_memo`'s globals, where perfbench's tracer and the tests' mutants
+replace `mt_lookup` or `mt_insert`; a body generated while either is
+replaced calls whatever they are when it runs, so they see every lookup
+and insert.
 
 As in the closures, `!x` of a `let !`-bound `x` is the bang that `let !`
 took apart, kept only where some `!x` reads it: the same value and
@@ -134,8 +136,8 @@ class _Gen:
     the activation's depth and its callees', `p` the pending charges,
     `b<i>` the binders (each bound once on a path), `x<i>` temporaries
     (a stack, reused once consumed), `e<i>` branch events, `k<i>` the
-    factory's arguments, and `L`, `T`, `B`, `F`, `C`, `P`, `c` and the
-    memo walk's `W<i>` the scratch of a `return`."""
+    factory's arguments, and `T`, `B`, `F`, `C` and the memo walk's
+    `W<i>` the scratch of a `return`."""
 
     def __init__(self, site):
         self.site = site
@@ -450,11 +452,10 @@ class _Gen:
         # boxes are added where it ends, on a hit with the walk's probes
         self.steps += 1
         n, self.events = self.events, 0
-        self.emit(f"L=b0.loc;T=store.tables[L]{f';S.branch_events+={n}' if n else ''}")
+        self.emit(f"T=b0.table{f';S.branch_events+={n}' if n else ''}")
         if n:
             self.emit(f"if {n}>S.max_branch_len:S.max_branch_len={n}")
-        hit = "S.memo_hits+=1;S.returns+=1;P=S.per_table;c=P.get(L) or P.setdefault(L,[0,0]);c[0]+=1"
-        miss = "S.memo_misses+=1;P=S.per_table;c=P.get(L) or P.setdefault(L,[0,0]);c[1]+=1"
+        self.emit("if T.stats is not S:T.count_for(S)")
         if self.inline:
             walk, probes, found, value = lookup_source(list(events))
             self.emit(walk)
@@ -462,10 +463,10 @@ class _Gen:
             self.emit(f"B=[{','.join(events)}];F,C=mt_lookup(T,B,S)")
             probes, found, value = "0", "F", "C"  # mt_lookup has added them
         on_hit = self.adds(self.steps, self.boxes, len(events) + 1 if self.inline else 0)
-        self.emit(f"if {found}:{';'.join([*on_hit, hit])};return {value}")
+        self.emit(f"if {found}:{';'.join([*on_hit, 'T.counts.hits+=1'])};return {value}")
         static = probes.isdigit()  # the same on every miss: added with the insert's
         self.probes = int(probes) if static else 0
-        self.emit(miss if static else f"S.probes+={probes};{miss}")
+        self.emit(f"{'' if static else f'S.probes+={probes};'}T.counts.misses+=1")
         v = self.hold(self.term(e.body, vs, rs))
         note = f"p=({self.steps},0,{self.boxes},0);"  # what is pending if `mt_insert` raises
         if self.inline:
@@ -475,7 +476,7 @@ class _Gen:
             self.emit(fallback.replace("else:", "else:" + note, 1))
         else:
             self.emit(f"{note}mt_insert(T,B,{v},S,on_dup='keep')")
-        self.emit(";".join([*self.adds(self.steps, self.boxes), "S.returns+=1", f"return {v}"]))
+        self.emit(";".join([*self.adds(self.steps, self.boxes), f"S.computed_returns+=1;return {v}"]))
 
     def let_bang(self, e: LetBang, vs, rs, events):
         self.steps += 1

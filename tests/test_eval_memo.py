@@ -262,6 +262,13 @@ def test_eval_expr_public_interface():
     assert term_eq(v2, IntLit(3))
 
 
+def test_eval_expr_at_an_unallocated_location_is_refused():
+    # in every mode: there is no table to walk
+    for cfg in (fresh(), fresh(checked=False)):
+        with pytest.raises(InternalInvariantError, match="unallocated location 3"):
+            eval_expr(Store(), 3, [], Return(IntLit(1)), cfg)
+
+
 def test_checked_return_rejects_unbound_resource():
     store = Store()
     loc = store.alloc_table()

@@ -3,9 +3,13 @@ import pytest
 from support import overhead_ratio
 from mfl.bench import quicksort_rows
 from mfl.corpus import CORPUS_NAMES, load
-from mfl.eval_memo import EvalConfig, run_program
+from mfl.eval_memo import EvalConfig, eval_term, run_program
 from mfl.gen import gen_program
+from mfl.memostore import Store
 from mfl.parser import parse
+from mfl.stats import EvalStats
+from mfl.syntax import Apply, Bang, IntLit, Pair, Program, UnitLit
+from mfl.typecheck import check_program
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -89,3 +93,70 @@ def test_quicksort_rerun_rows_pinned():
         {"n": 128, "fresh_steps": 169578.5, "rerun_steps": 56545.5,
          "rerun_hits": 7.5, "rerun_misses": 6.5},
     ]
+
+
+def test_given_counts_read_back():
+    stats = EvalStats(memo_hits=2, memo_misses=3, returns=5)
+    assert (stats.memo_hits, stats.memo_misses, stats.returns) == (2, 3, 5)
+    assert stats.per_table == {}
+    assert EvalStats(memo_hits=2, memo_misses=3, returns=6).returns == 6
+
+
+def _counts(stats) -> tuple:
+    return stats.as_dict(), stats.per_table
+
+
+def _sum(runs: list) -> tuple:
+    """The counters of `runs`' stats added up, `per_table` by location."""
+    total, per_table = EvalStats().as_dict(), {}
+    for stats in runs:
+        for name, n in stats.as_dict().items():
+            total[name] = max(total[name], n) if name == "max_branch_len" else total[name] + n
+        for loc, (hits, misses) in stats.per_table.items():
+            cell = per_table.setdefault(loc, [0, 0])
+            cell[0] += hits
+            cell[1] += misses
+    return total, per_table
+
+
+def _sorts(plan: list) -> None:
+    """Sort a growing list with the corpus quicksort: per step of `plan`,
+    a (store index, config) pair, make the declarations (on a store's
+    first step) or prepend a key and sort again, on that store under that
+    config."""
+    program = load("quicksort")
+    check_program(program)
+    made: dict = {}  # store index -> the store, its declared values, its list
+    for key, (at, cfg) in enumerate(plan):
+        if at not in made:
+            store = Store()
+            decls = run_program(Program(program.decls, UnitLit()), cfg, store).decl_values
+            made[at] = store, decls, decls["empty"]
+            continue
+        store, decls, lst = made[at]
+        lst = eval_term(store, Apply(decls["hcons"], Pair(Bang(IntLit(7 * key % 11)), Bang(lst))),
+                        cfg)[0]
+        eval_term(store, Apply(decls["mqs"], Bang(lst)), cfg)
+        made[at] = store, decls, lst
+
+
+def _check_each_config_counts_its_own_runs(plan: list) -> None:
+    # the same steps, each under a config of its own, give each run's counts
+    alone = [EvalConfig() for _ in plan]
+    _sorts([(at, cfg) for (at, _), cfg in zip(plan, alone)])
+    _sorts(plan)
+    for cfg in {id(cfg): cfg for _, cfg in plan}.values():
+        own = [one.stats for (_, shared), one in zip(plan, alone) if shared is cfg]
+        assert _counts(cfg.stats) == _sum(own)
+        stats = cfg.stats
+        assert stats.memo_hits + stats.memo_misses == stats.returns > 0
+
+
+def test_one_store_under_several_configs_counts_each_its_own(hot_calls):
+    a, b = EvalConfig(), EvalConfig()
+    _check_each_config_counts_its_own_runs([(0, a), (0, a), (0, b), (0, b), (0, a), (0, a)])
+
+
+def test_one_config_over_several_stores_counts_its_runs(hot_calls):
+    a, b = EvalConfig(), EvalConfig()
+    _check_each_config_counts_its_own_runs([(0, a), (1, a), (0, a), (1, a), (1, b), (0, a)])

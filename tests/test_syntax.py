@@ -195,15 +195,15 @@ def _flips(value) -> list:
 
 
 def test_term_eq_compares_every_field_but_caches():
-    # each compared field tells two nodes apart; pos and the caches fvs,
-    # code, ty and ctx never do
+    # each compared field tells two nodes apart; pos, the caches fvs,
+    # ty and ctx, and the run-time links code and table never do
     assert {type(node) for node in _NODE_SAMPLES} == set(SUBTERMS)
     for node in _NODE_SAMPLES:
         assert term_eq(node, replace(node)), node
         for f in fields(node):
             for flipped in _flips(getattr(node, f.name)):
                 other = replace(node, **{f.name: flipped})
-                ignored = f.name in ("pos", "fvs", "code", "ty", "ctx")
+                ignored = f.name in ("pos", "fvs", "code", "table", "ty", "ctx")
                 assert term_eq(node, other) is ignored, (node, f.name, flipped)
                 assert term_eq(other, node) is ignored, (node, f.name, flipped)
 

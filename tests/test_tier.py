@@ -603,3 +603,27 @@ def test_a_compile_under_other_wrappers_reuses_the_site_and_calls_them(hot, monk
     assert any(site in generated for site in first.values())
     assert all(again[decl] is site for decl, site in first.items() if site in generated)
     assert calls == {"lookup": stats.returns, "insert": stats.memo_misses}
+
+
+def test_a_function_value_walks_its_own_table_in_another_store(hot):
+    # `g`, made in one store, applied in another: each return walks and
+    # counts into `g`'s own table, under the config that runs it, on
+    # either tier; the other store's table at `g`'s location is not read
+    src = "val g = mfun f (a : !int) : int is let !x = a in return x + 1 end end main 0"
+    outcomes = []
+    for n in (10 ** 9, 0):
+        made = hot(n)
+        home = EvalConfig()
+        g = run_program(_parse(src), home).decl_values["g"]
+        for other in (Store(), run_program(_parse(src), EvalConfig()).store):
+            cfg, before = EvalConfig(), dict(other.tables)
+            values = [repr(eval_term(other, Apply(g, Bang(IntLit(k))), cfg)[0]) for k in (4, 4, 5)]
+            assert values == [repr(IntLit(5))] * 2 + [repr(IntLit(6))]
+            assert other.tables == before and all(len(t) == 0 for t in other.tables.values())
+            outcomes.append((n, values, cfg.stats.as_dict(), cfg.stats.per_table))
+        assert home.stats.returns == 0 and home.stats.per_table == {}
+        assert len(g.table) == 2
+        assert any(map(_is_generated, made)) == (n == 0)
+    closures, generated = outcomes[:2], outcomes[2:]
+    assert [out[1:] for out in closures] == [out[1:] for out in generated]
+    assert closures[0][3] == {g.loc: [1, 2]}
