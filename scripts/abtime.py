@@ -14,7 +14,7 @@ String hashing is fixed (`PYTHONHASHSEED=0`), as in `opcount.py`.
 
 To compare two checkouts, run the script alternately on each, several
 processes per side, and compare the medians: one process holds one tree,
-so the two never share a heap or a factory cache. In-process medians
+so the two never share a heap or generated code. In-process medians
 scatter much less than `perfbench/run.py`'s, which starts five set-ups
 and times whole 30-s runs.
 """

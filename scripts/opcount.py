@@ -5,18 +5,20 @@
 Imports `mfl` from the `src/` of the checkout CHECKOUT, and the workload
 WORKLOAD (`qsort-incr`, `knapsack-dp` or `fuzz-diff`) from this
 repository's `perfbench/workloads.py`, unchanged. It makes the inputs of
-seed 1 and runs one round of operations to warm the generated tier's
-factory cache. Then it runs N operations under a trace function and
-prints one JSON object: the bytecodes executed and the Python functions
-entered, per operation. They are counted on the thread that runs the
-operation: the calling thread, and the deep-stack worker for the part of
-the operation handed to it. Every outcome is checked as the benchmark
-checks it. The object also gives `generated_source_bytes`: the summed
-length of the generated tier's sources (`mfl.tier._factories`) after
-the warm-up round, that is, of the bodies the workload turns hot, and
-`generated_per_op`: the calls of `mfl.tier.generate` per counted
-operation, which are 0 when every hot body is reused from an earlier
-compile.
+seed 1 and runs one round of operations to warm up: the generated tier
+turns the workload's hot bodies into generated sites there, which
+`mfl.eval_memo` keeps for later compiles. Then it runs N operations
+under a trace function and prints one JSON object: the bytecodes
+executed and the Python functions entered, per operation. They are
+counted on the thread that runs the operation: the calling thread, and
+the deep-stack worker for the part of the operation handed to it. Every
+outcome is checked as the benchmark checks it. The object also gives
+`generated_source_bytes`: the summed length of the distinct sources of
+the generated sites kept after the warm-up round
+(`mfl.eval_memo._hot_sites`, each written again with `mfl.tier._Gen`),
+that is, of the bodies the workload turns hot, and `generated_per_op`:
+the calls of `mfl.tier.generate` per counted operation, which are 0
+when every hot body is reused from an earlier compile.
 
 With `--by-statement` the object also attributes the bytecodes of
 generated bodies to the statement kinds in `KINDS` (entry, call, depth
@@ -182,6 +184,13 @@ def attribute(at: dict, sources: "list[str]") -> "tuple[dict, list]":
     return kinds, sorted(funcs.items(), key=lambda item: -item[1])
 
 
+def generated_sources(m) -> "list[str]":
+    """The distinct sources of the generated sites that `mfl` keeps,
+    written again: a site's source depends only on the site."""
+    sites = m.eval_memo._hot_sites.values()
+    return list(dict.fromkeys(m.eval_memo.tier._Gen(site).source() for site in sites))
+
+
 def import_mfl(checkout: Path) -> SimpleNamespace:
     src = (checkout / "src").resolve()
     sys.path.insert(0, str(src))
@@ -206,7 +215,7 @@ def main(argv) -> int:
         null = NullTracer()
         for item in inputs:
             workload.check(item, workload.op(m, null, item))
-        source_bytes = sum(map(len, m.eval_memo.tier._factories))
+        source_bytes = sum(map(len, generated_sources(m)))
         counter = Counter(by_statement)
         counted = SimpleNamespace(**vars(m))
         counted.deepcall = CountedDeepcall(m.deepcall, counter)
@@ -223,7 +232,7 @@ def main(argv) -> int:
                 workload.check(item, counter.run(workload.op, counted, null, item))
         finally:
             tier.generate = generate
-        sources = list(tier._factories)
+        sources = generated_sources(m)
     row = {"checkout": str(checkout), "workload": name, "ops": n,
            "bytecodes_per_op": round(counter.bytecodes / n, 1),
            "calls_per_op": round(counter.calls / n, 1),

@@ -107,6 +107,7 @@ rules too.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
@@ -547,7 +548,12 @@ def _term_unbox(t: Unbox, vs, rs, unit):
         v = body_c(fr, cfg, store)
         if type(v) is not BoxVal:
             raise Stuck("unbox of a non-box value")
-        return store.boxes[v.tag]
+        # a box of another store is caught where its tag is unallocated
+        # here; where it is allocated, the running store's box is read.
+        # One line, so that Python 3.11 runs no `NOP` for the `try`.
+        try: return store.boxes[v.tag]  # noqa: E701
+        except KeyError:
+            raise InternalInvariantError(f"box value refers to unallocated tag {v.tag}") from None
     return ev
 
 
@@ -819,8 +825,13 @@ def _captured_types(ctx: tuple, vnames: tuple, rnames: tuple) -> list:
 # captures, the switch point, and whether the generator walks memo
 # tables inline (if not, the code calls the `mt_lookup` and `mt_insert`
 # of the run). The source position tells apart a program's functions of
-# equal names. Bounded like the factories.
+# equal names. It holds `HOT_SITES` sites and drops the oldest beyond
+# that. The one cache of generated code, it is shared by the threads of
+# a process: `_promote` changes it under `_hot_lock`, and `_hot_site`
+# reads it with one `dict.get`.
+HOT_SITES = 64
 _hot_sites: "dict[tuple, _Site]" = {}
+_hot_lock = threading.Lock()
 
 
 def walks_inline() -> bool:
@@ -839,9 +850,10 @@ def _promote(site: _Site) -> None:
     hot = tier.generate(site)
     if hot is not None:
         site.run, site.hot = hot, True
-        if len(_hot_sites) >= tier.CACHE_SIZE:
-            del _hot_sites[next(iter(_hot_sites))]
-        _hot_sites[_hot_key(site, site.vnames, site.rnames)] = site
+        with _hot_lock:
+            if len(_hot_sites) >= HOT_SITES:
+                del _hot_sites[next(iter(_hot_sites))]
+            _hot_sites[_hot_key(site, site.vnames, site.rnames)] = site
 
 
 def _hot_site(t: MFun, vnames: tuple, rnames: tuple) -> "_Site | None":

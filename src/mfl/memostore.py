@@ -214,7 +214,8 @@ class Store:
     """Maps locations to memo tables; also registers boxed values.
 
     A store is confined to one evaluation. Independent evaluations get
-    independent stores and may run concurrently.
+    independent stores and may run concurrently: the one table they
+    share, `eval_memo`'s generated sites, is changed under a lock.
 
     `fits` (box tags whose contents fit a type, with the type) and
     `ill_typed` belong to `eval_memo`'s check of values given typed code.

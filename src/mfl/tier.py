@@ -49,18 +49,15 @@ on the tier.
 
 The source depends only on the body's shape: literal values, types and
 the sites of nested `mfun` terms are passed to a factory as arguments
-`k0, k1, ...`. Factories are cached by their source text in a bounded
-module-level cache, so `compile()` runs once per shape and process.
-`eval_memo` keeps each generated site, which a later compile of an
-equal function term reuses, so `generate` runs once per body and
-process even when each run parses its program afresh. A body nested
-deeper than `MAX_DEPTH` stays on the closures, since Python allows at
-most 100 indentation levels.
+`k0, k1, ...`. The module keeps no state: `generate` compiles the
+source and calls its factory each time. `eval_memo` keeps each
+generated site, which a later compile of an equal function term reuses,
+so `generate` runs once per body and process even when each run parses
+its program afresh. A body nested deeper than `MAX_DEPTH` stays on the
+closures, since Python allows at most 100 indentation levels.
 """
 
 from __future__ import annotations
-
-import threading
 
 from . import eval_memo
 from .eval_memo import _VALUE_NODES, _value_size
@@ -72,13 +69,9 @@ from .syntax import (
 )
 
 MAX_DEPTH = 40     # nested terms a generated body may have
-CACHE_SIZE = 64    # factories kept, by source text
 
 _COMPARE = frozenset(("<", "<=", "=="))  # operators that Python writes the same
 _ARITH = frozenset(("+", "-", "*"))
-
-_factories: "dict[str, object]" = {}
-_lock = threading.Lock()
 
 
 class _NoCode(Exception):
@@ -94,22 +87,9 @@ def generate(site) -> "object | None":
         src = gen.source()
     except _NoCode:
         return None
-    return factory(src)(*gen.consts)
-
-
-def factory(src: str):
-    """The factory that `src` defines, compiled on first use. The cache
-    holds `CACHE_SIZE` factories and drops the oldest beyond that."""
-    with _lock:
-        made = _factories.get(src)
-        if made is None:
-            names: dict = {}
-            exec(compile(src, "<mfl generated body>", "exec"), vars(eval_memo), names)
-            made = names["_factory"]
-            if len(_factories) >= CACHE_SIZE:
-                del _factories[next(iter(_factories))]
-            _factories[src] = made
-        return made
+    names: dict = {}
+    exec(compile(src, "<mfl generated body>", "exec"), vars(eval_memo), names)
+    return names["_factory"](*gen.consts)
 
 
 def _size(ty) -> "int | None":

@@ -1,13 +1,16 @@
 """The generated tier: when a site switches to it, that every value of
 the site follows, that it calls the memo store through `eval_memo`'s
 globals, that it charges what the closures charge, that it is written
-from static types and entered only with values of them, its cache, and
-that a later compile of an equal typed function term reuses its site.
+from static types and entered only with values of them, and that a
+later compile of an equal typed function term reuses its site, from a
+bounded table that threads share.
 
 Only typechecked bodies are generated, so every program that typechecks
 is checked before it runs here."""
 
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -17,13 +20,13 @@ import mfl.eval_memo as eval_memo
 import mfl.memostore as memostore
 import mfl.tier as tier
 from mfl.corpus import decode_int_list, load
-from mfl.errors import MflError, MflTypeError, Stuck
+from mfl.errors import InternalInvariantError, MflError, MflTypeError, Stuck
 from mfl.eval_memo import EvalConfig, eval_term, run_program
 from mfl.memostore import Store
 from mfl.parser import parse
 from mfl.syntax import (
     INT, UNIT, Apply, Bang, BoxVal, Inr, IntLit, LetBang, MFun, MFunVal, Pair, PrimOp,
-    Program, Res, Return, Roll, TBang, UnitLit, Var, type_eq,
+    Program, Res, Return, Roll, TBang, Unbox, UnitLit, Var, type_eq,
 )
 from mfl.typecheck import check_program
 
@@ -33,12 +36,11 @@ DEFAULT_HOT_CALLS = eval_memo.HOT_CALLS
 
 @pytest.fixture
 def hot(monkeypatch):
-    """Set `HOT_CALLS`, with an empty factory cache and no generated site
-    kept for reuse. Returns a list, emptied by each call, of the sites
-    that have switched tiers since: generated or, if their bodies could
-    not be generated, left on the closures. Each call also forgets the
-    generated sites, so a later compile switches its own."""
-    monkeypatch.setattr(tier, "_factories", {})
+    """Set `HOT_CALLS`, with no generated site kept for reuse. Returns a
+    list, emptied by each call, of the sites that have switched tiers
+    since: generated or, if their bodies could not be generated, left on
+    the closures. Each call also forgets the generated sites, so a later
+    compile switches its own."""
     monkeypatch.setattr(eval_memo, "_hot_sites", {})
     made, generate = [], tier.generate
 
@@ -259,25 +261,6 @@ def _identity_plus(k: int) -> str:
             "main g (!3)")
 
 
-def test_bodies_differing_in_a_literal_share_one_factory(hot):
-    hot(0)
-    assert _outcome(_parse(_identity_plus(1)))[0] == repr(IntLit(4))
-    assert len(tier._factories) == 1
-    assert _outcome(_parse(_identity_plus(2)))[0] == repr(IntLit(5))
-    assert len(tier._factories) == 1
-
-
-def test_factory_cache_is_bounded(hot, monkeypatch):
-    monkeypatch.setattr(tier, "CACHE_SIZE", 2)
-    hot(0)
-    for op, want in (("+", 5), ("-", 1), ("*", 6), ("<", 0), ("==", 0)):
-        src = (f"val g = mfun f (a : !int) : int is let !x = a in return x {op} 2 end end "
-               "main g (!3)")
-        assert _outcome(_parse(src))[0] == repr(IntLit(want))
-        assert len(tier._factories) <= 2
-    assert len(tier._factories) == 2
-
-
 def test_tier_shapes_agree_with_the_closures(hot):
     # bodies that mix `let !` of ints and boxes, `mif`/`mcase`, `!x` of
     # `let !`-bound names, captured functions, `keyof` and `unbox`
@@ -304,8 +287,7 @@ def test_hot_bodies_are_written_from_their_types(hot, name):
     made = hot(0)
     run_program(_load(name), EvalConfig())
     assert made and all(map(_is_generated, made))
-    assert tier._factories
-    for src in tier._factories:
+    for src in (tier._Gen(site).source() for site in made):
         assert "Stuck(" not in src and "_lookup_steps" not in src and "t=type(" not in src
         assert not re.search(r"cfg\.depth\b", src) and "finally:" not in src
         assert src.count("try:") == src.count("except MflError:") == 1
@@ -463,9 +445,9 @@ def test_a_compile_that_differs_gets_a_site_of_its_own(hot, monkeypatch, first, 
 
 
 def test_generated_sites_kept_for_reuse_are_bounded(hot, monkeypatch):
-    # the table of generated sites holds `CACHE_SIZE` of them and drops
+    # the table of generated sites holds `HOT_SITES` of them and drops
     # the oldest beyond that
-    monkeypatch.setattr(tier, "CACHE_SIZE", 2)
+    monkeypatch.setattr(eval_memo, "HOT_SITES", 2)
     hot(0)
     for k in range(5):
         src = (f"val g = mfun f{k} (a : !int) : int is let !x = a in return x + {k} end end "
@@ -473,6 +455,28 @@ def test_generated_sites_kept_for_reuse_are_bounded(hot, monkeypatch):
         assert _outcome(_parse(src))[0] == repr(IntLit(3 + k))
         assert len(eval_memo._hot_sites) == min(k + 1, 2)
     assert [key[0] for key in eval_memo._hot_sites] == ["f3", "f4"]
+
+
+def test_threads_share_the_bounded_site_table(hot):
+    # eight threads turn distinct bodies hot at once, switching every
+    # microsecond: `_promote` evicts and inserts under its lock, so no
+    # thread raises and the table stays within its bound
+    hot(0)
+
+    def run(t: int) -> list:
+        return [_outcome(_parse(f"val g = mfun f{t}_{k} (a : !int) : int is "
+                                f"let !x = a in return x + {k} end end main g (!3)"))[0]
+                for k in range(400)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            outs = list(pool.map(run, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outs == [[repr(IntLit(3 + k)) for k in range(400)]] * 8
+    assert len(eval_memo._hot_sites) <= eval_memo.HOT_SITES
 
 
 def test_a_compile_under_a_mutant_gets_a_site_of_its_own(hot):
@@ -627,3 +631,28 @@ def test_a_function_value_walks_its_own_table_in_another_store(hot):
     closures, generated = outcomes[:2], outcomes[2:]
     assert [out[1:] for out in closures] == [out[1:] for out in generated]
     assert closures[0][3] == {g.loc: [1, 2]}
+
+
+@pytest.mark.parametrize("hot_calls", [DEFAULT_HOT_CALLS, 0], ids=["default", "hot0"])
+def test_a_box_of_another_store_is_an_invariant_error(hot, hot_calls):
+    # unboxing a box whose tag the running store never allocated raises
+    # the typed error, in every mode, after the same charges; given to a
+    # typed body, the box does not fit, so the store is marked ill-typed
+    # and the closures run, not the generated code
+    hot(hot_calls)
+    src = ("val b = box 3 val g = mfun f (a : !(int box)) : int is "
+           "let !x = a in return unbox x end end main 0")
+    result = run_program(_parse(src), EvalConfig())
+    b, g = result.decl_values["b"], result.decl_values["g"]
+    message = f"box value refers to unallocated tag {b.tag}"
+    for mode in ({}, {"mode": "cold"}, {"checked": True}, {"mode": "pure"}):
+        cfg = EvalConfig(**mode)
+        with pytest.raises(InternalInvariantError, match=message):
+            eval_term(Store(), Unbox(b), cfg)
+        assert cfg.stats.steps == 2
+    cfg, store = EvalConfig(), Store()
+    with pytest.raises(InternalInvariantError, match=message):
+        eval_term(store, Apply(g, Bang(b)), cfg)
+    assert store.ill_typed
+    assert _is_generated(_site(g)) is (hot_calls == 0)
+    assert (cfg.stats.steps, cfg.stats.memo_misses, cfg.stats.probes) == (10, 1, 2)
